@@ -55,9 +55,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "siegel":
-        rows = lattice.read_matrix(args.matrix)
         try:
-            witness = lattice.siegel_solve(rows, len(rows[0]), args.bound)
+            rows = lattice.read_matrix(args.matrix)
+            if not rows:
+                raise ValueError("the matrix has no rows")
+            bound = args.bound
+            if bound is None:
+                bound = lattice.hadamard_bv(rows, len(rows[0]))[0].sup_bound_int()
+        except (ValueError, OSError) as exc:
+            print(f"invalid input: {exc}", file=sys.stderr)
+            return 2
+        try:
+            witness = lattice.siegel_solve(rows, len(rows[0]), bound)
         except lattice.SolverIncomplete as exc:
             print(f"no admissible vector: {exc}", file=sys.stderr)
             return 1

@@ -163,9 +163,6 @@ class CycloInt:
         nrm = self * prod
         return prod.scale(Fraction(1) / nrm.as_rational())
 
-    def divide_exact(self, other: "CycloInt") -> "CycloInt":
-        return self * other.inverse()
-
     # -- Galois action ---------------------------------------------------------
 
     def galois(self, c: int) -> "CycloInt":

@@ -110,10 +110,6 @@ class GroupRingElement:
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
-    def automorphism_coeff(self, a: int) -> int:
-        """Coefficient of sigma_a in the element."""
-        return self.coeff(pow(a, self.p - 2, self.p))
-
     # -- ring structure ------------------------------------------------------
 
     def _check_compatible(self, other: "GroupRingElement") -> None:

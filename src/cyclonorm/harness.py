@@ -412,10 +412,6 @@ def cmd_identities(cfg: RunConfig) -> Report:
 # search
 
 
-def _perfect_power_root(v: int, k: int) -> Optional[int]:
-    return linalg.is_perfect_power(v, k)
-
-
 def cmd_search(cfg: RunConfig) -> Report:
     report = Report("search", asdict(cfg))
     p, bound = cfg.p, cfg.bound
@@ -443,7 +439,7 @@ def cmd_search(cfg: RunConfig) -> Report:
                     if rest % p != 0:
                         continue
                     rest //= p
-                z = _perfect_power_root(rest, zq)
+                z = linalg.is_perfect_power(rest, zq)
                 if z is not None and z != 0:
                     if math.gcd(math.gcd(x, abs(y)), abs(z)) == 1:
                         hits.append((x, y, z, e))

@@ -20,7 +20,7 @@ from .series import DoubleTable, denominator_exponent, reassemble
 
 
 class SolverIncomplete(Exception):
-    """The bounded search missed a vector the box lemma guarantees: a bug."""
+    """No admissible vector: the box holds none, or the search hit its limit."""
 
 
 class RankStuck(Exception):
@@ -214,10 +214,6 @@ class BoxBound:
         """floor of the bound: any integer vector within it has sup <= this."""
         return linalg.iroot(self.gram_det, 2 * self.codimension)
 
-    def less_than_sqrt(self, y: int) -> bool:
-        """Bound < sqrt(y), exactly: gram_det < y^codimension."""
-        return self.gram_det < y ** self.codimension
-
 
 def hadamard_bv(rows: Sequence[Sequence[int]], ambient: int) -> Tuple[BoxBound, bool]:
     """Exact Gram determinant with its Hadamard estimate.
@@ -237,13 +233,24 @@ def hadamard_bv(rows: Sequence[Sequence[int]], ambient: int) -> Tuple[BoxBound, 
     return BoxBound(det, len(rows), ambient), det <= diag_prod
 
 
+# Work limit of the kernel-vector search: vectors met, one per +/- pair.
+ENUMERATION_LIMIT = 100_000
+
+
 def siegel_solve(rows: Sequence[Sequence[int]], ambient: int,
                  bound: Optional[int] = None) -> List[int]:
     """A nonzero integer kernel vector with sup-norm within the box bound.
 
-    Kernel basis by exact unimodular elimination, reduced, then searched;
-    exhaustive scan of the whole box when it is small.  Deterministic: the
-    (sup-norm, coordinates)-smallest admissible vector wins, sign-normalized.
+    Kernel basis by exact unimodular elimination, LLL-reduced, then searched
+    by Fincke-Pohst enumeration.  With r the smaller of the bound and the
+    least sup-norm in the reduced basis, the enumeration covers the ball of
+    squared radius ambient * r^2, which holds every vector of sup-norm <= r,
+    and cuts the branches that hold none, so the search is complete.
+    Deterministic: the (sup-norm, coordinates)-smallest admissible vector
+    wins, sign-normalized.  The box still holds exponentially many vectors
+    as the kernel dimension grows; a search that meets more than
+    ENUMERATION_LIMIT of them (one per +/- pair) raises SolverIncomplete
+    rather than run for hours or return a vector it has not shown minimal.
     """
     rows = [list(r) for r in rows]
     if any(len(r) != ambient for r in rows):
@@ -260,47 +267,25 @@ def siegel_solve(rows: Sequence[Sequence[int]], ambient: int,
             v = [-x for x in v]
         return (max(abs(x) for x in v), tuple(v))
 
-    # exhaustive scan for small boxes
-    if (2 * bound + 1) ** ambient <= 10 ** 6:
-        best = None
-        for vec in _box_vectors(ambient, bound):
-            if any(vec) and all(sum(a * b for a, b in zip(row, vec)) == 0 for row in rows):
-                key = canonical(list(vec))
-                if best is None or key < best:
-                    best = key
-        if best is None:
-            raise SolverIncomplete("no kernel vector inside the box")
-        return list(best[1])
-
     kernel = linalg.integer_kernel(rows, ambient)
     if not kernel:
         raise SolverIncomplete("kernel is trivial")
     reduced = linalg.lll_reduce(kernel)
-    candidates = [canonical(list(v)) for v in reduced if any(v)]
-    best = min(candidates)
+    best = min(canonical(v) for v in reduced)
     radius = min(best[0], bound)
-    limit = Fraction(ambient * radius * radius)
-    count = 0
-    for vec in linalg.enumerate_short_vectors(reduced, limit):
-        count += 1
-        if count > 200_000:
-            break
-        if max(abs(x) for x in vec) <= bound:
-            key = canonical(list(vec))
-            if key < best:
-                best = key
+    radius_sq = ambient * radius * radius
+    for count, vec in enumerate(linalg.enumerate_short_vectors(
+            reduced, Fraction(radius_sq), sup_bound=radius)):
+        if count == ENUMERATION_LIMIT:
+            raise SolverIncomplete(
+                f"enumeration stopped after {count} vectors (sup-norm <= {radius}, "
+                f"squared radius {radius_sq}, kernel dimension {len(reduced)})")
+        key = canonical(vec)
+        if key < best and key[0] <= bound:
+            best = key
     if best[0] > bound:
-        raise SolverIncomplete("search exhausted without an admissible vector")
+        raise SolverIncomplete("no kernel vector inside the box")
     return list(best[1])
-
-
-def _box_vectors(dim: int, radius: int):
-    if dim == 0:
-        yield ()
-        return
-    for head in range(-radius, radius + 1):
-        for tail in _box_vectors(dim - 1, radius):
-            yield (head,) + tail
 
 
 # -- the inhomogeneous twist selection --------------------------------------------------------
@@ -544,6 +529,8 @@ def write_matrix(path: str, rows: Sequence[Sequence[int]]) -> None:
 def read_matrix(path: str) -> List[List[int]]:
     with open(path, encoding="ascii") as f:
         header = f.readline().split()
+        if len(header) != 2:
+            raise ValueError("the matrix file must start with a 'rows cols' line")
         nrows, ncols = int(header[0]), int(header[1])
         rows = []
         for _ in range(nrows):
@@ -551,6 +538,8 @@ def read_matrix(path: str) -> List[List[int]]:
             if len(row) != ncols:
                 raise ValueError("matrix row does not match the declared width")
             rows.append(row)
+        if f.read().strip():
+            raise ValueError("the matrix file has more rows than declared")
     return rows
 
 

@@ -40,15 +40,6 @@ def is_perfect_power(n: int, k: int) -> Optional[int]:
     return r if r ** k == n else None
 
 
-def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> List[List[int]]:
-    cols = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
-
-
-def mat_mul_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> List[int]:
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
-
-
 def gram_matrix(rows: Sequence[Sequence[int]]) -> List[List[int]]:
     return [[sum(x * y for x, y in zip(r, s)) for s in rows] for r in rows]
 
@@ -251,102 +242,137 @@ def integer_kernel(a: Sequence[Sequence[int]], ncols: int) -> List[List[int]]:
     return [k for k in kernel if any(k)]
 
 
-def _gso(basis: List[List[Fraction]]) -> Tuple[List[List[Fraction]], List[List[Fraction]], List[Fraction]]:
-    n = len(basis)
-    ortho: List[List[Fraction]] = []
-    mu: List[List[Fraction]] = [[Fraction(0)] * n for _ in range(n)]
-    norms: List[Fraction] = []
-    for i in range(n):
-        v = list(basis[i])
-        for j in range(i):
-            if norms[j] == 0:
-                mu[i][j] = Fraction(0)
-                continue
-            mu[i][j] = sum(a * b for a, b in zip(basis[i], ortho[j])) / norms[j]
-            v = [a - mu[i][j] * b for a, b in zip(v, ortho[j])]
-        ortho.append(v)
-        norms.append(sum(a * a for a in v))
-    return ortho, mu, norms
+def _integral_gso(gram: Sequence[Sequence[int]]) -> Tuple[List[int], List[List[int]]]:
+    """Integral Gram-Schmidt data of a linearly independent basis, from its Gram matrix.
+
+    Returns (d, lam): d[0] = 1 and d[i + 1] is the Gram determinant of the
+    first i + 1 vectors, so ||b*_i||^2 = d[i + 1] / d[i]; lam[k][j] =
+    d[j + 1] mu[k][j] for j < k.  All entries are integers (Cohen, Alg. 2.6.7).
+    """
+    n = len(gram)
+    d = [1] + [0] * n
+    lam = [[0] * n for _ in range(n)]
+    for k in range(n):
+        for j in range(k + 1):
+            u = gram[k][j]
+            for i in range(j):
+                u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+            if j < k:
+                lam[k][j] = u
+            elif u == 0:
+                raise ValueError("basis must be linearly independent")
+            else:
+                d[k + 1] = u
+    return d, lam
 
 
 def lll_reduce(rows: Sequence[Sequence[int]], delta: Fraction = Fraction(3, 4)) -> List[List[int]]:
-    """LLL reduction with exact rational Gram-Schmidt data."""
-    basis = [[Fraction(x) for x in row] for row in rows]
+    """LLL reduction of linearly independent integer rows (ValueError otherwise).
+
+    Each row is size-reduced against all earlier rows before its Lovasz
+    test.  The Gram-Schmidt data are the integers of _integral_gso, updated
+    in place after every size reduction and swap (Cohen, Alg. 2.6.7).
+    """
+    basis = [[int(x) for x in row] for row in rows]
     n = len(basis)
     if n <= 1:
-        return [[int(x) for x in row] for row in basis]
-    ortho, mu, norms = _gso(basis)
+        return basis
+    d, lam = _integral_gso(gram_matrix(basis))
+    delta = Fraction(delta)
     k = 1
     while k < n:
+        lk = lam[k]
         for j in range(k - 1, -1, -1):
-            q = mu[k][j]
-            r = int(q) if q == int(q) else round(q)
+            r = round(Fraction(lk[j], d[j + 1]))
             if r:
                 basis[k] = [a - r * b for a, b in zip(basis[k], basis[j])]
-                ortho, mu, norms = _gso(basis)
-        if norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]:
+                lk[j] -= r * d[j + 1]
+                for i in range(j):
+                    lk[i] -= r * lam[j][i]
+        nu = lk[k - 1]
+        # ||b*_k||^2 >= (delta - mu^2) ||b*_(k-1)||^2, times d[k] d[k-1]
+        if delta.denominator * (d[k + 1] * d[k - 1] + nu * nu) >= delta.numerator * d[k] ** 2:
             k += 1
-        else:
-            basis[k], basis[k - 1] = basis[k - 1], basis[k]
-            ortho, mu, norms = _gso(basis)
-            k = max(k - 1, 1)
-    return [[int(x) for x in row] for row in basis]
+            continue
+        basis[k - 1], basis[k] = basis[k], basis[k - 1]
+        lam[k - 1][:k - 1], lk[:k - 1] = lk[:k - 1], lam[k - 1][:k - 1]
+        d_swapped = (d[k - 1] * d[k + 1] + nu * nu) // d[k]
+        for i in range(k + 1, n):
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - nu * t) // d[k]
+            lam[i][k - 1] = (d_swapped * t + nu * lam[i][k]) // d[k + 1]
+        d[k] = d_swapped
+        k = max(k - 1, 1)
+    return basis
 
 
-def enumerate_short_vectors(basis: Sequence[Sequence[int]], radius_sq: Fraction):
-    """Yield nonzero lattice vectors with squared Euclidean norm <= radius_sq.
+def enumerate_short_vectors(basis: Sequence[Sequence[int]], radius_sq: Fraction, *,
+                            sup_bound: Optional[int] = None):
+    """Yield the nonzero lattice vectors with squared Euclidean norm <= radius_sq.
 
-    Standard Fincke-Pohst enumeration on an (LLL-reduced) basis, exact
-    rational arithmetic.  One vector per +/- pair.
+    Fincke-Pohst enumeration on a linearly independent (ideally LLL-reduced)
+    basis, exact in integers over one common denominator.  One vector per
+    +/- pair: the nonzero coefficient of highest index is positive.
+
+    With sup_bound r, branches that hold no vector of sup-norm <= r are cut:
+    every vector of the ball with sup-norm <= r is still yielded, and some
+    with a larger sup-norm may be.  The cut: if sup(v) <= r then
+    |<v, w>| <= r ||w||_1, for w = b*_l and for w = pi_l(v), the part of v
+    orthogonal to b_0..b_(l-1), which is fixed once the coefficients from l
+    up are.
     """
     n = len(basis)
     if n == 0:
         return
-    _, mu, norms = _gso([[Fraction(x) for x in row] for row in basis])
-    if any(nm == 0 for nm in norms):
-        raise ValueError("basis must be linearly independent")
+    d, lam = _integral_gso(gram_matrix(basis))
+    # ||sum x_i b_i||^2 = sum_l t_l^2 / (d[l] d[l+1]) with the integers
+    # t_l = d[l+1] x_l + sum_{i>l} lam[i][l] x_i; scale it by `common`
+    radius_sq = Fraction(radius_sq)
+    common = math.lcm(*(d[l] * d[l + 1] for l in range(n)))
+    weight = [radius_sq.denominator * common // (d[l] * d[l + 1]) for l in range(n)]
+    budget = radius_sq.numerator * common
+    if budget < 0:
+        return
+    if sup_bound is not None:
+        # ortho[l] = d[l] b*_l, integral; <v, b*_l> = t_l / d[l]
+        ortho = []
+        for l in range(n):
+            u = list(basis[l])
+            for j in range(l):
+                u = [(d[j + 1] * a - lam[l][j] * b) // d[j] for a, b in zip(u, ortho[j])]
+            ortho.append(u)
+        t_cap = [sup_bound * sum(map(abs, u)) for u in ortho]
     coeffs = [0] * n
-    centers = [Fraction(0)] * n
-    partial = [Fraction(0)] * (n + 1)
 
-    def recurse(level: int):
+    def recurse(level: int, used: int, nonzero: bool, proj: Optional[List[int]]):
+        # nonzero: some coefficient above this level is nonzero; proj:
+        # common * pi_(level+1)(v), kept only under a sup bound
         if level < 0:
-            if any(coeffs):
+            if nonzero:
                 vec = [0] * len(basis[0])
                 for c, row in zip(coeffs, basis):
                     if c:
                         vec = [a + c * b for a, b in zip(vec, row)]
-                yield list(vec)
+                yield vec
             return
-        center = -sum(mu[i][level] * coeffs[i] for i in range(level + 1, n))
-        budget = radius_sq - partial[level + 1]
-        if budget < 0:
-            return
-        # |x - center|^2 * norms[level] <= budget
-        bound = (budget / norms[level]) if norms[level] else Fraction(0)
-        lo = center - _frac_sqrt_upper(bound)
-        hi = center + _frac_sqrt_upper(bound)
-        x = math.ceil(lo)
-        while Fraction(x) <= hi:
+        shift = sum(lam[i][level] * coeffs[i] for i in range(level + 1, n))
+        t_max = math.isqrt((budget - used) // weight[level])
+        if sup_bound is not None:
+            t_max = min(t_max, t_cap[level])
+        step = d[level + 1]
+        lo = -((t_max + shift) // step) if nonzero else 0
+        for x in range(lo, (t_max - shift) // step + 1):
             coeffs[level] = x
-            partial[level] = partial[level + 1] + (Fraction(x) - center) ** 2 * norms[level]
-            if partial[level] <= radius_sq:
-                yield from recurse(level - 1)
-            x += 1
+            t = step * x + shift
+            now = used + weight[level] * t * t
+            nxt = proj
+            if proj is not None:
+                f = common // (d[level] * d[level + 1]) * t
+                nxt = [a + f * b for a, b in zip(proj, ortho[level])]
+                # ||pi(v)||^2 <= r ||pi(v)||_1, scaled: now = den * common * ||pi(v)||^2
+                if now > sup_bound * radius_sq.denominator * sum(map(abs, nxt)):
+                    continue
+            yield from recurse(level - 1, now, nonzero or x != 0, nxt)
         coeffs[level] = 0
-        partial[level] = Fraction(0)
 
-    yield from recurse(n - 1)
-
-
-def _frac_sqrt_upper(x: Fraction) -> Fraction:
-    """A rational upper bound for sqrt(x), x >= 0."""
-    if x < 0:
-        return Fraction(0)
-    num, den = x.numerator, x.denominator
-    r = math.isqrt(num * den) + 1
-    return Fraction(r, den)
-
-
-def sup_norm(vec: Sequence[int]) -> int:
-    return max(abs(x) for x in vec) if vec else 0
+    yield from recurse(n - 1, 0, False, None if sup_bound is None else [0] * len(basis[0]))

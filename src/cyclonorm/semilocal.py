@@ -120,11 +120,6 @@ class SemilocalElement:
             cof = cof * self.galois(c)
         return cof.scale(pow(nrm, -1, self.modulus))
 
-    def lift_centered(self) -> CycloInt:
-        """The representative with coordinates in (-m/2, m/2]."""
-        m = self.modulus
-        return CycloInt(self.p, tuple(c - m if 2 * c > m else c for c in self.poly))
-
     def reduce_to(self, new_modulus: int) -> "SemilocalElement":
         if self.modulus % new_modulus != 0:
             raise ValueError("can only reduce to a divisor of the modulus")
@@ -154,10 +149,6 @@ def sl_embed(p: int, value: Union[int, Fraction, CycloInt], modulus: int) -> Sem
         raise ZeroDivisionError("denominator shares a factor with the modulus")
     n = f.numerator * pow(f.denominator, -1, modulus) % modulus
     return SemilocalElement(p, modulus, ((-n) % modulus,) * (p - 1))
-
-
-def sl_galois(c: int, u: SemilocalElement) -> SemilocalElement:
-    return u.galois(c)
 
 
 # -- y-adic digits in the balanced system ------------------------------------------
@@ -210,11 +201,6 @@ def y_digits(u: SemilocalElement, digits: int, y: int) -> YDigits:
         out.append(CycloInt(u.p, tuple(digit)))
         cur = [(c - d) // y for c, d in zip(cur, digit)]
     return YDigits(u.p, y, tuple(out))
-
-
-def congruent_mod_y_power(a: SemilocalElement, b: SemilocalElement, y: int, k: int) -> bool:
-    d = a - b
-    return all(c % y ** k == 0 for c in d.poly)
 
 
 # -- polynomial helpers over Z/m -------------------------------------------------------

@@ -63,10 +63,6 @@ def fueter(ctx: StickelbergerContext, n: int) -> GroupRingElement:
     return ctx._fueter[n]
 
 
-def all_fueter(ctx: StickelbergerContext) -> List[GroupRingElement]:
-    return [fueter(ctx, n) for n in range(1, (ctx.p - 1) // 2 + 1)]
-
-
 def fermat_quotient(ctx: StickelbergerContext, t: GroupRingElement) -> int:
     """phi(t) = sum_c c^{p-2} n_c mod p; satisfies zeta^t = zeta^{phi(t)}."""
     p = ctx.p

@@ -127,3 +127,21 @@ def test_cli_report_rerender(tmp_path):
     (tmp_path / "rep.tsv").unlink()
     assert main(["report", "--out", base]) == 0
     assert (tmp_path / "rep.tsv").read_bytes() == tsv_before
+
+
+@pytest.mark.parametrize("text", [
+    "2 4\n1 2 3 4\n1 2 3\n",          # a row shorter than declared
+    "",                               # an empty file
+    "2 2\n1 0\n0 1\n",                # a square system: no free direction
+    "2 4\n1 2 3 4\n2 4 6 8\n",        # dependent rows
+    None,                             # a missing file
+    "1 3\n1 1 1\n5 0 -5\n",         # more rows than declared
+], ids=["short-row", "empty-file", "square", "dependent-rows", "missing-file", "extra-row"])
+def test_cli_siegel_rejects_bad_input(tmp_path, capsys, text):
+    mat = tmp_path / "m.txt"
+    if text is not None:
+        mat.write_text(text)
+    assert main(["siegel", "--matrix", str(mat)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("invalid input: ")
+    assert captured.out == ""

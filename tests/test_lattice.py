@@ -5,6 +5,7 @@ import pytest
 from cyclonorm import linalg
 from cyclonorm.cyclotomic import CycloInt
 from cyclonorm.lattice import (
+    ENUMERATION_LIMIT,
     SolverIncomplete,
     perturb_for_independence,
     bound_clash,
@@ -84,9 +85,37 @@ def test_siegel_with_trace_zero_row():
     assert sum(a * b for a, b in zip(rows[0], w)) == 0
 
 
+def _box_vectors(dim, radius):
+    if dim == 0:
+        yield ()
+        return
+    for head in range(-radius, radius + 1):
+        for tail in _box_vectors(dim - 1, radius):
+            yield (head,) + tail
+
+
+def box_oracle(rows, ambient, bound):
+    """The (sup, lex)-smallest sign-normalized nonzero kernel vector in the box,
+    by an exhaustive scan of all (2 bound + 1)^ambient points."""
+    best = None
+    for vec in _box_vectors(ambient, bound):
+        if any(vec) and all(sum(a * b for a, b in zip(row, vec)) == 0 for row in rows):
+            if next(x for x in vec if x) < 0:
+                vec = tuple(-x for x in vec)
+            key = (max(abs(x) for x in vec), vec)
+            if best is None or key < best:
+                best = key
+    return None if best is None else list(best[1])
+
+
 def test_siegel_random_against_box_oracle():
+    # Each system is solved at its box-lemma bound, where a kernel vector must
+    # be found, and at a random small bound, where the solver must fail exactly
+    # when the box holds none.  Boxes of at most 10^5 points are also scanned,
+    # and the solver must return the scan's vector.
     rng = random.Random(7)
     done = 0
+    scanned = []
     while done < 50:
         nrows = rng.randrange(1, 4)
         ambient = rng.randrange(nrows + 2, 9)
@@ -94,13 +123,39 @@ def test_siegel_random_against_box_oracle():
         if linalg.rank_rational(a) < nrows:
             continue
         box, _ = hadamard_bv(a, ambient)
-        bound = max(box.sup_bound_int(), 1)
-        w = siegel_solve(a, ambient, bound)
-        assert any(w)
-        assert all(sum(x * y for x, y in zip(row, w)) == 0 for row in a)
-        assert max(abs(x) for x in w) <= bound
-        # oracle: some vector within the box exists (the solver found one)
+        lemma = max(box.sup_bound_int(), 1)
+        for bound in (lemma, rng.randrange(1, 4)):
+            try:
+                w = siegel_solve(a, ambient, bound)
+            except SolverIncomplete:
+                assert bound < lemma
+                w = None
+            else:
+                assert any(w)
+                assert all(sum(x * y for x, y in zip(row, w)) == 0 for row in a)
+                assert max(abs(x) for x in w) <= bound
+            if (2 * bound + 1) ** ambient <= 10 ** 5:
+                assert w == box_oracle(a, ambient, bound)
+                scanned.append(w is None)
         done += 1
+    assert scanned.count(False) >= 40 and scanned.count(True) >= 10
+
+
+@pytest.mark.parametrize("rows, expected", [
+    ([[1] + [0] * 10], [0] * 10 + [1]),
+    ([[1] * 12], [0] * 10 + [1, -1]),
+    ([[1] * 20], None),
+], ids=["unit-11", "ones-12", "ones-20"])
+def test_siegel_wide_dense_kernels(rows, expected):
+    # kernels of dimension 10 to 19 at sup-norm 1, where the ball of squared
+    # radius ambient holds far more vectors than the box.  All-ones at ambient
+    # 20 has ~10^8 zero-sum vectors of sup-norm 1, so the search stops at the
+    # work limit instead of running for hours.
+    if expected is None:
+        with pytest.raises(SolverIncomplete, match=f"stopped after {ENUMERATION_LIMIT} vectors"):
+            siegel_solve(rows, len(rows[0]))
+    else:
+        assert siegel_solve(rows, len(rows[0])) == expected
 
 
 def test_siegel_solver_incomplete():

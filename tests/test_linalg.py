@@ -1,6 +1,9 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, strategies as st
 
 from cyclonorm import linalg
@@ -96,16 +99,110 @@ def test_lll_preserves_lattice_and_shortens():
     assert min(norm(v) for v in red) <= min(norm(v) for v in basis)
 
 
-def test_enumerate_short_vectors_complete():
-    basis = [[2, 0], [1, 3]]
-    found = set()
-    for v in linalg.enumerate_short_vectors(basis, Fraction(20)):
-        found.add(tuple(v))
-    # brute force over coefficients
+def _short_vectors_by_brute_force(basis, radius_sq):
+    """The nonzero lattice vectors of squared norm <= radius_sq, from a scan of
+    the coefficient box that holds them; None when it has over 20 000 points."""
+    n = len(basis)
+    # coefficient i of a vector v is <v, dual_i>, and ||dual_i||^2 is the
+    # i-th diagonal entry of the inverse Gram matrix: minor_i / det
+    gram = linalg.gram_matrix(basis)
+    det = linalg.bareiss_det(gram)
+    reach = []
+    for i in range(n):
+        minor = [[g for j, g in enumerate(row) if j != i]
+                 for k, row in enumerate(gram) if k != i]
+        reach.append(linalg.iroot(int(radius_sq * linalg.bareiss_det(minor) / det), 2))
+    if math.prod(2 * r + 1 for r in reach) > 20_000:
+        return None
     expected = set()
-    for a in range(-6, 7):
-        for b in range(-6, 7):
-            v = (2 * a + b, 3 * b)
-            if v != (0, 0) and v[0] ** 2 + v[1] ** 2 <= 20:
-                expected.add(v)
-    assert found == expected
+    for coeffs in itertools.product(*(range(-r, r + 1) for r in reach)):
+        v = tuple(sum(c * row[j] for c, row in zip(coeffs, basis)) for j in range(len(basis[0])))
+        if any(v) and sum(x * x for x in v) <= radius_sq:
+            expected.add(v)
+    return expected
+
+
+def test_enumerate_short_vectors_complete():
+    # one vector of each +/- pair of the brute-force set: found | -found is
+    # the set and found & -found is empty
+    rng = random.Random(13)
+    basis, radius_sq = [[2, 0], [1, 3]], Fraction(20)
+    checked = 0
+    while checked < 41:
+        if linalg.rank_rational(basis) == len(basis):
+            expected = _short_vectors_by_brute_force(basis, radius_sq)
+            if expected is not None:
+                found = [tuple(v) for v in linalg.enumerate_short_vectors(basis, radius_sq)]
+                negated = {tuple(-x for x in v) for v in found}
+                assert len(set(found)) == len(found)
+                assert set(found) | negated == expected
+                assert not set(found) & negated
+                # under a sup bound: a part of that, holding every vector within it
+                r = rng.randrange(0, 4)
+                cut = [tuple(v) for v in
+                       linalg.enumerate_short_vectors(basis, radius_sq, sup_bound=r)]
+                assert set(cut) <= set(found) and len(set(cut)) == len(cut)
+                assert {v for v in found if max(map(abs, v)) <= r} <= set(cut)
+                checked += 1
+        n = rng.randrange(1, 4)
+        basis = [[rng.randrange(-3, 4) for _ in range(n + 1)] for _ in range(n)]
+        radius_sq = Fraction(rng.randrange(0, 100), rng.randrange(1, 4))
+
+
+def test_short_vector_routines_reject_dependent_rows():
+    with pytest.raises(ValueError):
+        linalg.lll_reduce([[1, 2], [2, 4]])
+    with pytest.raises(ValueError):
+        list(linalg.enumerate_short_vectors([[1, 2, 3], [2, 4, 6]], 10))
+
+
+def _reference_gso(basis):
+    n = len(basis)
+    ortho, norms = [], []
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        v = list(basis[i])
+        for j in range(i):
+            mu[i][j] = sum(a * b for a, b in zip(basis[i], ortho[j])) / norms[j]
+            v = [a - mu[i][j] * b for a, b in zip(v, ortho[j])]
+        ortho.append(v)
+        norms.append(sum(a * a for a in v))
+    return mu, norms
+
+
+def reference_lll(rows, delta=Fraction(3, 4)):
+    """Textbook LLL that recomputes the rational Gram-Schmidt data after every step."""
+    basis = [[Fraction(x) for x in row] for row in rows]
+    n = len(basis)
+    if n <= 1:
+        return [[int(x) for x in row] for row in basis]
+    mu, norms = _reference_gso(basis)
+    k = 1
+    while k < n:
+        for j in range(k - 1, -1, -1):
+            r = round(mu[k][j])
+            if r:
+                basis[k] = [a - r * b for a, b in zip(basis[k], basis[j])]
+                mu, norms = _reference_gso(basis)
+        if norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]:
+            k += 1
+        else:
+            basis[k], basis[k - 1] = basis[k - 1], basis[k]
+            mu, norms = _reference_gso(basis)
+            k = max(k - 1, 1)
+    return [[int(x) for x in row] for row in basis]
+
+
+def test_lll_matches_reference():
+    rng = random.Random(17)
+    checked = 0
+    while checked < 200:
+        n = rng.randrange(1, 7)
+        ambient = n + rng.randrange(3)
+        amp = rng.choice([2, 10, 100])
+        rows = [[rng.randrange(-amp, amp + 1) for _ in range(ambient)] for _ in range(n)]
+        if linalg.rank_rational(rows) < n:
+            continue
+        delta = rng.choice([Fraction(3, 4), Fraction(99, 100)])
+        assert linalg.lll_reduce(rows, delta) == reference_lll(rows, delta)
+        checked += 1
