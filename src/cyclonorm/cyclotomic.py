@@ -2,8 +2,14 @@
 
 Elements are coordinate vectors in the normal power basis {zeta, zeta^2, ...,
 zeta^{p-1}}; the constant 1 is represented through sum_c zeta^c = -1.  All
-ring arithmetic is exact (ints or Fractions); archimedean magnitudes are the
-only place floating point appears and they carry a two-precision certificate.
+ring arithmetic is exact; archimedean magnitudes are the only place floating
+point appears and they carry a two-precision certificate.
+
+A CycloInt coordinate is a plain int whenever its value is integral and a
+Fraction only when it is not, so integral elements never touch Fraction.
+The coordinate kernels below (basis product, Galois permutation,
+square-and-multiply, cofactor product) serve both CycloInt and the
+semilocal rings Z_y[zeta], which share the basis.
 """
 
 from __future__ import annotations
@@ -27,6 +33,57 @@ def _as_scalar(x) -> Scalar:
     return x
 
 
+# -- coordinate kernels on {zeta..zeta^{p-1}} ---------------------------------------
+
+
+def basis_product(p: int, a: Sequence, b: Sequence) -> Tuple:
+    """Coordinates of (sum a_i zeta^i)(sum b_j zeta^j), folding zeta^p = 1 and
+    sum_c zeta^c = -1; the same loop serves int, Fraction and residue entries."""
+    acc = [0] * (2 * p)                # indexed by i + j, 2 <= i + j <= 2p - 2
+    for i, ai in enumerate(a, 1):
+        if ai:
+            for j, bj in enumerate(b, i + 1):
+                if bj:
+                    acc[j] += ai * bj
+    const = acc[p]
+    return tuple(acc[c] + acc[c + p] - const for c in range(1, p))
+
+
+def galois_coords(p: int, coords: Sequence, c: int) -> Tuple:
+    """Coordinates of sigma_c (zeta -> zeta^c): entry j moves to c j mod p."""
+    c %= p
+    if c == 0:
+        raise ValueError("Galois index must be prime to p")
+    out = [0] * (p - 1)
+    k = 0
+    for a in coords:
+        k += c
+        if k >= p:
+            k -= p
+        out[k - 1] = a
+    return tuple(out)
+
+
+def power(x, n: int, one):
+    """x^n for n >= 0 by square-and-multiply; n = 0 gives `one`."""
+    result = None
+    while n:
+        if n & 1:
+            result = x if result is None else result * x
+        n >>= 1
+        if n:
+            x = x * x
+    return one if result is None else result
+
+
+def cofactor_product(x):
+    """prod_{c=2}^{p-1} sigma_c(x): x times it is the norm of x."""
+    prod = x.galois(2)
+    for c in range(3, x.p):
+        prod = prod * x.galois(c)
+    return prod
+
+
 @dataclass(frozen=True)
 class CycloInt:
     """Element of Q(zeta_p) with exact coordinates in the basis {zeta..zeta^{p-1}}."""
@@ -39,7 +96,8 @@ class CycloInt:
             raise ValueError(f"p must be an odd prime, got {self.p}")
         if len(self.coords) != self.p - 1:
             raise ValueError("coordinate vector must have length p-1")
-        object.__setattr__(self, "coords", tuple(_as_scalar(c) for c in self.coords))
+        if type(self.coords) is not tuple or not all(type(c) is int for c in self.coords):
+            object.__setattr__(self, "coords", tuple(_as_scalar(c) for c in self.coords))
 
     # -- constructors --------------------------------------------------------
 
@@ -49,8 +107,7 @@ class CycloInt:
 
     @classmethod
     def from_rational(cls, p: int, value: Scalar) -> "CycloInt":
-        v = Fraction(value)
-        return cls(p, (-v,) * (p - 1))
+        return cls(p, (-value,) * (p - 1))
 
     @classmethod
     def zeta_power(cls, p: int, k: int) -> "CycloInt":
@@ -64,14 +121,14 @@ class CycloInt:
     @classmethod
     def from_exp_map(cls, p: int, terms: Dict[int, Scalar]) -> "CycloInt":
         """From {exponent mod p: coefficient}; exponent 0 handled via the base."""
-        coords = [Fraction(0)] * (p - 1)
-        const = Fraction(0)
+        coords = [0] * (p - 1)
+        const = 0
         for e, v in terms.items():
             e %= p
             if e == 0:
-                const += Fraction(v)
+                const += v
             else:
-                coords[e - 1] += Fraction(v)
+                coords[e - 1] += v
         if const:
             coords = [c - const for c in coords]
         return cls(p, tuple(coords))
@@ -99,7 +156,7 @@ class CycloInt:
         return -Fraction(self.coords[0])
 
     def is_integral(self) -> bool:
-        return all(Fraction(c).denominator == 1 for c in self.coords)
+        return all(isinstance(c, int) for c in self.coords)
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -122,44 +179,22 @@ class CycloInt:
         return CycloInt(self.p, tuple(-a for a in self.coords))
 
     def scale(self, v: Scalar) -> "CycloInt":
-        return CycloInt(self.p, tuple(Fraction(v) * a for a in self.coords))
+        return CycloInt(self.p, tuple(v * a for a in self.coords))
 
     def __mul__(self, other: "CycloInt") -> "CycloInt":
         self._check(other)
-        p = self.p
-        acc = [0] * p  # indexed by exponent mod p
-        for i in range(1, p):
-            a = self.coords[i - 1]
-            if not a:
-                continue
-            for j in range(1, p):
-                b = other.coords[j - 1]
-                if b:
-                    acc[(i + j) % p] += a * b
-        const = acc[0]
-        if const:
-            return CycloInt(p, tuple(acc[c] - const for c in range(1, p)))
-        return CycloInt(p, tuple(acc[1:]))
+        return CycloInt(self.p, basis_product(self.p, self.coords, other.coords))
 
     def __pow__(self, n: int) -> "CycloInt":
         if n < 0:
             return self.inverse() ** (-n)
-        result = CycloInt.from_rational(self.p, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, CycloInt.from_rational(self.p, 1))
 
     def inverse(self) -> "CycloInt":
         """Exact inverse in Q(zeta): product of the other conjugates over the norm."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        prod = CycloInt.from_rational(self.p, 1)
-        for c in range(2, self.p):
-            prod = prod * self.galois(c)
+        prod = cofactor_product(self)
         nrm = self * prod
         return prod.scale(Fraction(1) / nrm.as_rational())
 
@@ -167,16 +202,10 @@ class CycloInt:
 
     def galois(self, c: int) -> "CycloInt":
         """sigma_c: zeta -> zeta^c."""
-        c %= self.p
-        if c == 0:
-            raise ValueError("Galois index must be prime to p")
-        coords = [0] * (self.p - 1)
-        for j in range(1, self.p):
-            coords[(c * j) % self.p - 1] = self.coords[j - 1]
-        return CycloInt(self.p, tuple(coords))
+        return CycloInt(self.p, galois_coords(self.p, self.coords, c))
 
     def conj(self) -> "CycloInt":
-        return self.galois(self.p - 1)
+        return CycloInt(self.p, self.coords[::-1])
 
     def group_ring_power(self, theta: GroupRingElement) -> "CycloInt":
         """x^theta = prod_c sigma_c^{-1}(x)^{n_c} for theta with n_c >= 0."""
@@ -195,14 +224,14 @@ class CycloInt:
     # -- trace, norm, pairing ---------------------------------------------------
 
     def trace(self) -> Scalar:
-        return _as_scalar(-sum(Fraction(c) for c in self.coords))
+        return _as_scalar(-sum(self.coords))
 
     def norm(self) -> Scalar:
         """Field norm via the determinant of the multiplication matrix."""
-        if all(Fraction(c).denominator == 1 for c in self.coords):
+        if self.is_integral():
             rows = [kappa_int(self * CycloInt.zeta_power(self.p, j)) for j in range(1, self.p)]
             return linalg.bareiss_det(rows)
-        den = math.lcm(*(Fraction(c).denominator for c in self.coords))
+        den = math.lcm(*(c.denominator for c in self.coords))
         scaled = self.scale(den)
         return _as_scalar(Fraction(scaled.norm(), den ** (self.p - 1)))
 
@@ -222,7 +251,7 @@ def kappa(x: CycloInt) -> Tuple[Fraction, ...]:
 def kappa_int(x: CycloInt) -> List[int]:
     if not x.is_integral():
         raise ValueError("integral coordinates expected")
-    return [int(c) for c in x.coords]
+    return list(x.coords)
 
 
 def kappa_inv(p: int, vec: Sequence[Scalar]) -> CycloInt:
@@ -503,15 +532,7 @@ class CycloIdeal:
     def __pow__(self, n: int) -> "CycloIdeal":
         if n < 1:
             raise ValueError("positive ideal powers only")
-        result = None
-        base = self
-        while n:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return power(self, n, None)
 
     def norm(self) -> int:
         n = 1

@@ -153,10 +153,7 @@ class GroupRingElement:
 
     def conjugate(self) -> "GroupRingElement":
         """Left multiplication by complex conjugation sigma_{p-1}."""
-        p = self.p
-        return GroupRingElement(
-            p, tuple(self.coeffs[(p - c) - 1] for c in range(1, p)), self.modulus
-        )
+        return GroupRingElement(self.p, self.coeffs[::-1], self.modulus)
 
     def reduce(self, modulus: int) -> "GroupRingElement":
         return GroupRingElement(self.p, tuple(c % modulus for c in self.coeffs), modulus)

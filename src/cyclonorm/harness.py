@@ -323,7 +323,7 @@ def cmd_identities(cfg: RunConfig) -> Report:
     for _ in range(200):
         x = CycloInt(p, tuple(rng.randrange(-99, 100) for _ in range(p - 1)))
         exact, _ = trace_coordinate_residues(x)
-        if any(e != Fraction(p) * c for e, c in zip(exact, kappa(x))):
+        if any(e != p * c for e, c in zip(exact, kappa(x))):
             kappa_ok = False
         y = CycloInt(p, tuple(rng.randrange(-99, 100) for _ in range(p - 1)))
         if not trace_product_coordinate_identity(x, y):
@@ -333,11 +333,11 @@ def cmd_identities(cfg: RunConfig) -> Report:
         raw = [rng.randrange(-30, 31) for _ in range(p - 2)]
         raw.append(-sum(raw))
         tzero = CycloInt(p, tuple(raw))
-        if Fraction(tzero.trace()) != 0:
+        if tzero.trace() != 0:
             chain_ok = False
             continue
         _, shifted = trace_coordinate_residues(tzero)
-        if any(s != Fraction(p) * c for s, c in zip(shifted, kappa(tzero))):
+        if any(s != p * c for s, c in zip(shifted, kappa(tzero))):
             shifted_ok = False
         if not tzero.is_zero() and not norms_compare(tzero).holds:
             chain_ok = False
@@ -508,6 +508,9 @@ def cmd_pipeline(cfg: RunConfig) -> Report:
 
     if math.gcd(y, p) != 1:
         raise ValueError("the ramified digit base is out of the semilocal route")
+    if semilocal.count_primes_above(p, y) == 1:
+        raise ValueError(f"y = {y} is a power of a prime inert in Q(zeta_{p}): every "
+                         "p-th root of unity modulo y is global, so none is nontrivial")
 
     ctx = StickelbergerContext(p)
     # stage 0: the driving exponent element
@@ -524,7 +527,7 @@ def cmd_pipeline(cfg: RunConfig) -> Report:
                    note=f"{exc}; using the doubled first generator (nonzero quotient); "
                         "the local stages use a synthetic root of unity and are unaffected")
 
-    depth = max(cfg.level + 2, 6)
+    depth = max(cfg.level + 2, 6, lattice.guard_depth(p))
     order = max(depth + 2, cfg.precision + 2)
     tab = series.binom_coeffs(theta, order, full=True)
     report.add("series-table", "series-coefficients-integral", tab.integrality_ok(),

@@ -23,6 +23,10 @@ class SolverIncomplete(Exception):
     """No admissible vector: the box holds none, or the search hit its limit."""
 
 
+class EnumerationLimit(SolverIncomplete):
+    """The kernel-vector search met ENUMERATION_LIMIT vectors and stopped."""
+
+
 class RankStuck(Exception):
     """No basis vector escapes the current span: impossible below full rank."""
 
@@ -52,6 +56,13 @@ def order_unrank(n: int) -> Tuple[int, int]:
 def threshold_pair(p: int) -> Tuple[int, int]:
     """The pair of rank p-1: the last one needed for a full basis."""
     return order_unrank(p - 1)
+
+
+def guard_depth(p: int) -> int:
+    """Least digit-table depth that holds the forward neighbour (n+1, h) of
+    every pair the perturbation pass processes (ranks 1..p-1)."""
+    n, h = threshold_pair(p)
+    return n + h + 1
 
 
 # -- the perturbation pass --------------------------------------------------------------
@@ -127,7 +138,6 @@ def perturb_for_independence(dtable: DoubleTable, toy_override: bool = False) ->
         raise ValueError("the perturbation pass expects x-absorbed rows")
     if y <= 2 * p and not toy_override:
         raise ValueError("needs y > 2p (pass toy_override to waive)")
-    mu_chi = threshold_pair(p)
     need = [order_unrank(i) for i in range(1, p)]
     for (n, h) in need:
         if (n + 1, h) not in dtable.entries:
@@ -277,7 +287,7 @@ def siegel_solve(rows: Sequence[Sequence[int]], ambient: int,
     for count, vec in enumerate(linalg.enumerate_short_vectors(
             reduced, Fraction(radius_sq), sup_bound=radius)):
         if count == ENUMERATION_LIMIT:
-            raise SolverIncomplete(
+            raise EnumerationLimit(
                 f"enumeration stopped after {count} vectors (sup-norm <= {radius}, "
                 f"squared radius {radius_sq}, kernel dimension {len(reduced)})")
         key = canonical(vec)
@@ -302,16 +312,6 @@ class TwistSelection:
     trace_zero: bool
     leading_digit_ok: bool           # series-side leading coefficient reproduces it
     waivers: Tuple[str, ...]
-
-
-def _ring_trace(u: SemilocalElement) -> int:
-    total = u
-    for c in range(2, u.p):
-        total = total + u.galois(c)
-    vals = set(total.poly)
-    if len(vals) != 1:
-        raise ArithmeticError("trace image is not rational")
-    return (-vals.pop()) % u.modulus
 
 
 def inhomogeneous_select(mtable: ModifiedTable, level: Optional[int] = None,
@@ -368,16 +368,20 @@ def inhomogeneous_select(mtable: ModifiedTable, level: Optional[int] = None,
     pivot = mtable.entries[pivot_pair]
     pivot_row = trace_row(pivot)
 
+    limited = set()          # twists whose search stopped at ENUMERATION_LIMIT
+
     def scan(radius_limit: int) -> Optional[Tuple]:
         for k in range(1, p):
             zeta_row = trace_row(CycloInt.zeta_power(p, k))
             rows = base_rows + [[a + b for a, b in zip(pivot_row, zeta_row)]]
             try:
                 w_coords = siegel_solve(rows, p - 1, radius_limit)
-            except SolverIncomplete:
+            except SolverIncomplete as exc:
+                if isinstance(exc, EnumerationLimit):
+                    limited.add(k)
                 continue
             w_cand = kappa_inv(p, tuple(w_coords))
-            pairing = int(Fraction((w_cand * pivot).trace()))
+            pairing = (w_cand * pivot).trace()
             if pairing == 0:
                 continue
             return (k, w_coords, w_cand, pairing)
@@ -401,6 +405,11 @@ def inhomogeneous_select(mtable: ModifiedTable, level: Optional[int] = None,
                     f"box radius enlarged from {box_radius} to {bv_radius} "
                     f"(box-lemma bound; the sqrt(y) box needs larger p)")
                 box_radius = bv_radius
+    if best is None and limited:
+        raise SolverIncomplete(
+            f"no twist gave a vector, and the search for twists {sorted(limited)} "
+            f"stopped at the enumeration limit ({ENUMERATION_LIMIT} vectors), so "
+            "the box was not searched in full")
     if best is None:
         raise SolverIncomplete(
             "every twist leaves the box orthogonal to the pivot; by the "
@@ -408,8 +417,8 @@ def inhomogeneous_select(mtable: ModifiedTable, level: Optional[int] = None,
         )
     k, w_coords, w, pivot_pairing = best
 
-    hom_ok = all(int(Fraction((w * mtable.entries[pair]).trace())) == 0 for pair in hom_pairs)
-    trace_zero = int(Fraction(w.trace())) == 0
+    hom_ok = all((w * mtable.entries[pair]).trace() == 0 for pair in hom_pairs)
+    trace_zero = w.trace() == 0
     if use_ones and pivot_pairing != -p * w_coords[(p - k) - 1]:
         raise AssertionError("twisted pairing identity failed")
 
@@ -439,7 +448,7 @@ def _leading_digit_check(mtable: ModifiedTable, w: CycloInt, lvl: int,
     series_sum = reassemble_modified(mtable, lvl + 1)
     m = series_sum.modulus
     traced = sl_embed(src.p, w, m) * series_sum
-    value = _ring_trace(traced)
+    value = traced.trace()
     if value % y ** lvl != 0:
         return False
     e = (value // y ** lvl) % y

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple, Union
 
-from .cyclotomic import CycloInt
+from .cyclotomic import CycloInt, basis_product, cofactor_product, galois_coords, power
 from .group_ring import is_prime
 
 
@@ -55,32 +55,12 @@ class SemilocalElement:
 
     def __mul__(self, other):
         self._check(other)
-        p, m = self.p, self.modulus
-        acc = [0] * p
-        for i in range(1, p):
-            a = self.poly[i - 1]
-            if not a:
-                continue
-            for j in range(1, p):
-                b = other.poly[j - 1]
-                if b:
-                    acc[(i + j) % p] = (acc[(i + j) % p] + a * b) % m
-        const = acc[0]
-        if const:
-            return SemilocalElement(p, m, tuple(acc[c] - const for c in range(1, p)))
-        return SemilocalElement(p, m, tuple(acc[1:]))
+        return SemilocalElement(self.p, self.modulus, basis_product(self.p, self.poly, other.poly))
 
     def __pow__(self, n: int) -> "SemilocalElement":
         if n < 0:
             return self.inverse() ** (-n)
-        result = sl_embed(self.p, 1, self.modulus)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, sl_embed(self.p, 1, self.modulus))
 
     def is_zero(self) -> bool:
         return not any(self.poly)
@@ -89,35 +69,25 @@ class SemilocalElement:
         return self == sl_embed(self.p, 1, self.modulus)
 
     def galois(self, c: int) -> "SemilocalElement":
-        c %= self.p
-        if c == 0:
-            raise ValueError("Galois index must be prime to p")
-        coords = [0] * (self.p - 1)
-        for j in range(1, self.p):
-            coords[(c * j) % self.p - 1] = self.poly[j - 1]
-        return SemilocalElement(self.p, self.modulus, tuple(coords))
+        return SemilocalElement(self.p, self.modulus, galois_coords(self.p, self.poly, c))
 
     def conj(self) -> "SemilocalElement":
-        return self.galois(self.p - 1)
+        return SemilocalElement(self.p, self.modulus, self.poly[::-1])
+
+    def trace(self) -> int:
+        """Sum of all Galois conjugates, as an element of Z/modulus."""
+        return -sum(self.poly) % self.modulus
 
     def norm_integer(self) -> int:
         """Product of all Galois conjugates, as an element of Z/modulus."""
-        prod = sl_embed(self.p, 1, self.modulus)
-        for c in range(1, self.p):
-            prod = prod * self.galois(c)
-        vals = set(prod.poly)
-        if len(vals) != 1:
-            raise ArithmeticError("conjugate product is not rational")
-        return (-vals.pop()) % self.modulus
+        return -(self * cofactor_product(self)).poly[0] % self.modulus
 
     def inverse(self) -> "SemilocalElement":
         """Inverse via the cofactor product; needs the norm to be a unit."""
-        nrm = self.norm_integer()
+        cof = cofactor_product(self)
+        nrm = -(self * cof).poly[0] % self.modulus
         if math.gcd(nrm, self.modulus) != 1:
             raise ZeroDivisionError("element is not invertible at this modulus")
-        cof = sl_embed(self.p, 1, self.modulus)
-        for c in range(2, self.p):
-            cof = cof * self.galois(c)
         return cof.scale(pow(nrm, -1, self.modulus))
 
     def reduce_to(self, new_modulus: int) -> "SemilocalElement":
@@ -137,18 +107,15 @@ def sl_embed(p: int, value: Union[int, Fraction, CycloInt], modulus: int) -> Sem
     if isinstance(value, CycloInt):
         if value.p != p:
             raise ValueError("mismatched primes")
-        coords = []
-        for c in value.coords:
-            f = Fraction(c)
-            if math.gcd(f.denominator, modulus) != 1:
-                raise ZeroDivisionError("denominator shares a factor with the modulus")
-            coords.append(f.numerator * pow(f.denominator, -1, modulus) % modulus)
-        return SemilocalElement(p, modulus, tuple(coords))
-    f = Fraction(value)
-    if math.gcd(f.denominator, modulus) != 1:
-        raise ZeroDivisionError("denominator shares a factor with the modulus")
-    n = f.numerator * pow(f.denominator, -1, modulus) % modulus
-    return SemilocalElement(p, modulus, ((-n) % modulus,) * (p - 1))
+        coords = value.coords
+    else:
+        coords = (-value,) * (p - 1)
+    out = []
+    for c in coords:
+        if math.gcd(c.denominator, modulus) != 1:
+            raise ZeroDivisionError("denominator shares a factor with the modulus")
+        out.append(c.numerator * pow(c.denominator, -1, modulus))
+    return SemilocalElement(p, modulus, tuple(out))
 
 
 # -- y-adic digits in the balanced system ------------------------------------------
@@ -567,6 +534,11 @@ def prime_power_split(y: int) -> List[Tuple[int, int]]:
     if rest > 1:
         parts.append((rest, 1))
     return parts
+
+
+def count_primes_above(p: int, y: int) -> int:
+    """Primes of Z[zeta_p] above y: the sum over r | y of (p-1)/ord_p(r)."""
+    return sum((p - 1) // multiplicative_order(r, p) for r, _ in prime_power_split(y))
 
 
 def _int_crt(pairs: Sequence[Tuple[int, int]]) -> int:

@@ -1,7 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
+from cyclonorm import harness
 from cyclonorm.harness import RunConfig, cmd_identities, cmd_pipeline, cmd_search, write_report
 from cyclonorm.cli import main
 
@@ -27,6 +29,30 @@ def test_identities_deterministic_bytes():
     assert a == b
     c = cmd_identities(RunConfig("identities", p=5, seed=4)).to_json()
     assert a != c   # the seed is part of the recorded configuration
+
+
+# SHA-256 of report JSON bytes at seed 0, fixed across commits: a change that
+# moves one of them changes what the checker reports, not only how it runs.
+REPORT_PINS = {
+    ("identities", 5, None, None):
+        "96de0adb0b9bcdcb78f306ff762511a40345915807511154b8c0f8271ee70fba",
+    ("identities", 7, None, None):
+        "8516910d45e4d3a4a3300944fe787bf976715f228e7555b3322f605b7a40171a",
+    ("identities", 11, None, None):
+        "37801a30475e485bf801e611cfeb8d797702513f3248320e9256a3f2e94c00be",
+    ("pipeline", 5, 3, 22):
+        "acfee4ea044d6c611ab93235f4ebc1874064e228b25a30cd0fde29a5782f8cf8",
+    ("pipeline", 7, 3, 26):
+        "2b515351bdfc90341bfb833f4ecc0d079be3c18f31658fab90d9003338ec97b4",
+}
+
+
+@pytest.mark.parametrize("key", sorted(REPORT_PINS, key=str), ids=lambda k: "-".join(map(str, k)))
+def test_report_bytes_pinned(key):
+    command, p, x, y = key
+    cmd = cmd_identities if command == "identities" else cmd_pipeline
+    text = cmd(RunConfig(command, p=p, x=x, y=y, seed=0)).to_json()
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == REPORT_PINS[key]
 
 
 def test_search_p3_expected_hits():
@@ -75,6 +101,29 @@ def test_pipeline_rejects_bad_input():
         cmd_pipeline(RunConfig("pipeline", p=5, x=2, y=22))   # shared factor
     with pytest.raises(ValueError):
         cmd_pipeline(RunConfig("pipeline", p=5, x=3, y=25))   # ramified base
+
+
+@pytest.mark.parametrize("p,y", [(5, 23), (7, 31), (11, 29), (17, 37)])
+def test_pipeline_refuses_inert_digit_base(monkeypatch, capsys, p, y):
+    # y is a power of a prime inert in Q(zeta_p): every p-th root of unity
+    # mod y is global, so the run is refused before its first stage
+    def no_stage_zero(ctx):
+        raise AssertionError("stage 0 ran on an inert digit base")
+
+    monkeypatch.setattr(harness, "construct_weight2_annihilator", no_stage_zero)
+    assert main(["pipeline", "--p", str(p), "--x", "3", "--y", str(y)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("invalid input: ") and "inert" in captured.err
+    assert captured.out == ""
+
+
+def test_pipeline_p23_default_level():
+    # the digit table is deep enough for the perturbation pass's guard
+    # entries at p >= 23 without raising --level
+    rep = cmd_pipeline(RunConfig("pipeline", p=23, x=2, y=41))
+    assert rep.ok
+    names = {r.name: r.status for r in rep.records}
+    assert names["digit-table"] == names["perturbation-pass"] == "pass"
 
 
 def test_report_files_byte_stable(tmp_path):

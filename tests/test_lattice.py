@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from cyclonorm import linalg
+from cyclonorm import lattice, linalg
 from cyclonorm.cyclotomic import CycloInt
 from cyclonorm.lattice import (
     ENUMERATION_LIMIT,
@@ -11,6 +11,7 @@ from cyclonorm.lattice import (
     bound_clash,
     default_vanishing_order,
     displayed_chain_holds,
+    guard_depth,
     hadamard_bv,
     inhomogeneous_select,
     lemma9_size_bound,
@@ -54,6 +55,13 @@ def test_threshold_pair(p):
     assert s * (s + 1) // 2 < p - 1 <= (s + 1) * (s + 2) // 2
     assert s < p - 1   # the pair sums stay below the prime, so denominators
     assert s < p       # carry no factorial contribution
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 101])
+def test_guard_depth_covers_the_forward_neighbours(p):
+    sums = [sum(order_unrank(i)) for i in range(1, p)]
+    assert guard_depth(p) == max(sums) + 1
+    assert guard_depth(p) <= 6 if p <= 19 else guard_depth(p) > 6
 
 
 def test_hadamard_bv_examples():
@@ -277,6 +285,20 @@ def test_twist_selection_p7():
     assert sel.trace_zero
     assert sel.homogeneous_ok and sel.pivot_pairing != 0 and sel.leading_digit_ok
     assert sel.pivot_pairing == -p * int(sel.witness.coords[(p - sel.twist_index) - 1])
+
+
+def test_twist_selection_reports_the_enumeration_limit(monkeypatch):
+    # with the search stopped at once, no twist yields a vector; that proves
+    # nothing, so the scan must name the limit, not claim a contradiction
+    p, y, x = 7, 211, 2
+    tab = binom_coeffs(fueter(StickelbergerContext(p), 1).scale(2), 9, full=True)
+    rho = synthetic_root_of_unity(p, y, 9)
+    mt = perturb_for_independence(double_table(tab, rho, x, y, depth=7))
+    monkeypatch.setattr(lattice, "ENUMERATION_LIMIT", 0)
+    with pytest.raises(SolverIncomplete) as info:
+        inhomogeneous_select(mt)
+    assert "enumeration limit (0 vectors)" in str(info.value)
+    assert "contradiction" not in str(info.value)
 
 
 # -- inequality evaluators -------------------------------------------------------------
