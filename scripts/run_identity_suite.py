@@ -1,15 +1,19 @@
 #!/usr/bin/env python3
 """Run the exact identity suite over the default primes and store reports.
 
+Prints one line per prime with its record counts and wall time; p = 101
+takes a few minutes.
+
 Usage: python scripts/run_identity_suite.py [outdir]
 """
 
 import pathlib
 import sys
+import time
 
 from cyclonorm.harness import RunConfig, cmd_identities, write_report
 
-PRIMES = [5, 7, 11, 13, 37]
+PRIMES = [5, 7, 11, 13, 37, 61, 101]
 
 
 def main() -> int:
@@ -17,12 +21,14 @@ def main() -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     worst = 0
     for p in PRIMES:
+        start = time.perf_counter()
         report = cmd_identities(RunConfig("identities", p=p))
+        seconds = time.perf_counter() - start
         base = outdir / f"identities_p{p}"
         write_report(report, str(base))
         c = report.counts
         print(f"p = {p:3d}: pass={c['pass']:3d} fail={c['fail']} waived={c['waived']}"
-              f"  -> {base}.json")
+              f"  {seconds:7.2f} s  -> {base}.json", flush=True)
         worst = max(worst, c["fail"])
     return 1 if worst else 0
 

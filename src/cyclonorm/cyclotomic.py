@@ -8,12 +8,13 @@ point appears and they carry a two-precision certificate.
 A CycloInt coordinate is a plain int whenever its value is integral and a
 Fraction only when it is not, so integral elements never touch Fraction.
 The coordinate kernels below (basis product, Galois permutation,
-square-and-multiply, cofactor product) serve both CycloInt and the
-semilocal rings Z_y[zeta], which share the basis.
+rotation by a power of zeta, square-and-multiply, cofactor product) serve
+both CycloInt and the semilocal rings Z_y[zeta], which share the basis.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,6 +26,10 @@ from .group_ring import GroupRingElement, is_prime
 from . import linalg
 
 Scalar = Union[int, Fraction]
+
+
+def _all_int(coords: Sequence) -> bool:
+    return set(map(type, coords)) <= {int}
 
 
 def _as_scalar(x) -> Scalar:
@@ -64,6 +69,18 @@ def galois_coords(p: int, coords: Sequence, c: int) -> Tuple:
     return tuple(out)
 
 
+def zeta_shift(p: int, coords: Sequence, k: int) -> Tuple:
+    """Coordinates of zeta^k x: rotate (0, x_1..x_{p-1}) by k, then fold the
+    constant through sum_c zeta^c = -1; no multiplication is made."""
+    k %= p
+    full = (0,) + tuple(coords)
+    rotated = full[p - k:] + full[:p - k]
+    const = rotated[0]
+    if not const:
+        return rotated[1:]
+    return tuple(v - const for v in rotated[1:])
+
+
 def power(x, n: int, one):
     """x^n for n >= 0 by square-and-multiply; n = 0 gives `one`."""
     result = None
@@ -96,7 +113,7 @@ class CycloInt:
             raise ValueError(f"p must be an odd prime, got {self.p}")
         if len(self.coords) != self.p - 1:
             raise ValueError("coordinate vector must have length p-1")
-        if type(self.coords) is not tuple or not all(type(c) is int for c in self.coords):
+        if type(self.coords) is not tuple or not _all_int(self.coords):
             object.__setattr__(self, "coords", tuple(_as_scalar(c) for c in self.coords))
 
     # -- constructors --------------------------------------------------------
@@ -183,7 +200,14 @@ class CycloInt:
 
     def __mul__(self, other: "CycloInt") -> "CycloInt":
         self._check(other)
-        return CycloInt(self.p, basis_product(self.p, self.coords, other.coords))
+        a, da = _over_one_denominator(self.coords)
+        b, db = _over_one_denominator(other.coords)
+        prod = basis_product(self.p, a, b)
+        den = da * db
+        if den == 1:
+            return CycloInt(self.p, prod)
+        return CycloInt(self.p, tuple(c // den if c % den == 0 else Fraction(c, den)
+                                      for c in prod))
 
     def __pow__(self, n: int) -> "CycloInt":
         if n < 0:
@@ -228,16 +252,22 @@ class CycloInt:
 
     def norm(self) -> Scalar:
         """Field norm via the determinant of the multiplication matrix."""
-        if self.is_integral():
-            rows = [kappa_int(self * CycloInt.zeta_power(self.p, j)) for j in range(1, self.p)]
-            return linalg.bareiss_det(rows)
-        den = math.lcm(*(c.denominator for c in self.coords))
-        scaled = self.scale(den)
-        return _as_scalar(Fraction(scaled.norm(), den ** (self.p - 1)))
+        a, den = _over_one_denominator(self.coords)
+        rows = [zeta_shift(self.p, a, j) for j in range(1, self.p)]
+        return _as_scalar(Fraction(linalg.bareiss_det(rows), den ** (self.p - 1)))
 
     def __repr__(self) -> str:
         terms = [f"{c}*z^{e}" for e, c in zip(range(1, self.p), self.coords) if c]
         return f"<{' + '.join(terms) if terms else '0'} (p={self.p})>"
+
+
+def _over_one_denominator(coords: Tuple[Scalar, ...]) -> Tuple[Tuple[int, ...], int]:
+    """(integer numerators, d) with coords = numerators / d, d the lcm of the
+    denominators; integral coordinates come back unchanged with d = 1."""
+    if _all_int(coords):
+        return coords, 1
+    den = math.lcm(*(c.denominator for c in coords))
+    return tuple(c.numerator * (den // c.denominator) for c in coords), den
 
 
 # -- coordinate maps ------------------------------------------------------------
@@ -266,13 +296,13 @@ def trace_coordinate_residues(x: CycloInt) -> Tuple[Tuple[Fraction, ...], Tuple[
       shifted[c-1] = Tr((1 + zeta^{-c}) x)          ( = p * kappa(x)_c on trace-zero x)
     """
     p = x.p
-    tr = Fraction(x.trace())
+    tr = x.trace()
     exact = []
     shifted = []
     for c in range(1, p):
-        t = Fraction((x * CycloInt.zeta_power(p, p - c)).trace())
-        exact.append(t - tr)
-        shifted.append(t + tr)
+        t = -sum(zeta_shift(p, x.coords, -c))          # Tr(zeta^{-c} x)
+        exact.append(Fraction(t - tr))
+        shifted.append(Fraction(t + tr))
     return tuple(exact), tuple(shifted)
 
 
@@ -432,6 +462,13 @@ def congruent_mod_rational(a: CycloInt, b: CycloInt, m: int) -> bool:
 # -- archimedean magnitudes ---------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
+def _roots_of_unity(p: int, dps: int) -> Tuple[mpmath.mpc, ...]:
+    """e^{2 pi i j/p} for j = 0..p-1 at `dps` decimal digits."""
+    with mpmath.workdps(dps):
+        return tuple(mpmath.expjpi(mpmath.mpf(2 * j) / p) for j in range(p))
+
+
 def embedding_abs(x: CycloInt, c: int = 1) -> Tuple[mpmath.mpf, mpmath.mpf]:
     """|sigma_c(x)| at zeta = e^{2 pi i/p}, with a certified error bound.
 
@@ -439,18 +476,16 @@ def embedding_abs(x: CycloInt, c: int = 1) -> Tuple[mpmath.mpf, mpmath.mpf]:
     (value, error_bound) with relative error below 2^-40.
     """
     p = x.p
-    size = max((abs(Fraction(v).numerator) + Fraction(v).denominator for v in x.coords),
-               default=1)
+    size = max((abs(v.numerator) + v.denominator for v in x.coords), default=1)
     base_dps = 40 + len(str(size))
     vals = []
     for dps in (base_dps, 2 * base_dps):
+        roots = _roots_of_unity(p, dps)
         with mpmath.workdps(dps):
-            z = mpmath.e ** (2j * mpmath.pi * c / p)
             acc = mpmath.mpc(0)
-            for e in range(1, p):
-                coef = Fraction(x.coord(e))
+            for e, coef in enumerate(x.coords, 1):
                 if coef:
-                    acc += mpmath.mpf(coef.numerator) / coef.denominator * z ** e
+                    acc += mpmath.mpf(coef.numerator) / coef.denominator * roots[c * e % p]
             vals.append(abs(acc))
     v1, v2 = vals
     err = abs(v1 - v2) + mpmath.mpf(2) ** (-120) * (abs(v2) + 1)
@@ -471,6 +506,14 @@ def max_conjugate_abs(x: CycloInt) -> Tuple[mpmath.mpf, mpmath.mpf]:
 # -- ideals in Hermite normal form -----------------------------------------------------
 
 
+def _hnf_norm(hnf: Sequence[Sequence[int]]) -> int:
+    """Index of a full-rank lattice in Z^n: the product of its HNF pivots."""
+    n = 1
+    for i, row in enumerate(hnf):
+        n *= row[i]
+    return n
+
+
 @dataclass(frozen=True, eq=False)
 class CycloIdeal:
     """Nonzero ideal of Z[zeta] as the HNF basis of its coordinate lattice."""
@@ -488,8 +531,7 @@ class CycloIdeal:
         for g in gens:
             if not g.is_integral():
                 raise ValueError("ideal generators must be integral")
-            for k in range(p - 1):
-                rows.append(kappa_int(g * CycloInt.zeta_power(p, k)))
+            rows.extend(zeta_shift(p, g.coords, k) for k in range(p - 1))
         bound = abs(int(gens[0].norm()))
         if bound == 0:
             raise ValueError("zero generator")
@@ -506,21 +548,47 @@ class CycloIdeal:
 
     def _verify_zeta_stable(self) -> None:
         for row in self.hnf:
-            shifted = kappa_int(kappa_inv(self.p, row) * CycloInt.zeta_power(self.p, 1))
-            if not linalg.hnf_contains(self.hnf, shifted):
+            if not linalg.hnf_contains(self.hnf, zeta_shift(self.p, row, 1)):
                 raise AssertionError("ideal lattice is not stable under zeta")
 
     def basis_elements(self) -> List[CycloInt]:
         return [kappa_inv(self.p, row) for row in self.hnf]
 
+    def generators(self) -> List[CycloInt]:
+        """A short list of ideal generators: the norm n, then each HNF row
+        that the ideal generated so far does not contain.
+
+        The ideal generated so far is kept in HNF mod n (n lies in it), and
+        a new row enters with its p - 1 zeta-multiples, so each update is an
+        HNF of 2(p - 1) rows.  The list stops once that ideal has norm n,
+        i.e. equals this one; usually that takes one or two rows.
+        """
+        p, n = self.p, self.norm()
+        gens = [CycloInt.from_rational(p, n)]
+        span = [[n if i == j else 0 for j in range(p - 1)] for i in range(p - 1)]
+        for row in self.hnf:
+            if _hnf_norm(span) == n:
+                break
+            if linalg.hnf_contains(span, row):
+                continue
+            gens.append(kappa_inv(p, row))
+            span = linalg.hermite_normal_form(
+                span + [zeta_shift(p, row, k) for k in range(p - 1)], p - 1, det_multiple=n)
+        return gens
+
     def __mul__(self, other: "CycloIdeal") -> "CycloIdeal":
         if self.p != other.p:
             raise ValueError("mismatched primes")
-        # products of the two stable lattice bases already span the product
-        # lattice, so no further closure under zeta is needed; the norm
-        # product times the standard lattice sits inside the product ideal
-        rows = [kappa_int(a * b)
-                for a in self.basis_elements() for b in other.basis_elements()]
+        # the Z-basis of self times ideal generators of other spans the
+        # product lattice, so no further closure under zeta is needed; the
+        # norm product times the standard lattice sits inside the product ideal
+        rows = []
+        basis = self.basis_elements()
+        for g in other.generators():
+            if g.is_rational():
+                rows.extend(kappa_int(a.scale(int(g.as_rational()))) for a in basis)
+            else:
+                rows.extend(kappa_int(a * g) for a in basis)
         hnf = linalg.hermite_normal_form(rows, self.p - 1,
                                          det_multiple=self.norm() * other.norm())
         if len(hnf) != self.p - 1:
@@ -535,10 +603,7 @@ class CycloIdeal:
         return power(self, n, None)
 
     def norm(self) -> int:
-        n = 1
-        for i, row in enumerate(self.hnf):
-            n *= row[i]
-        return n
+        return _hnf_norm(self.hnf)
 
     def contains(self, x: CycloInt) -> bool:
         return linalg.hnf_contains(self.hnf, kappa_int(x))

@@ -506,6 +506,9 @@ def cmd_pipeline(cfg: RunConfig) -> Report:
     if p == 3:
         return _pipeline_true_solution(cfg, report)
 
+    if y < 2:
+        raise ValueError(f"the digit base y = {y} must be at least 2: the semilocal "
+                         "stages work modulo powers of y")
     if math.gcd(y, p) != 1:
         raise ValueError("the ramified digit base is out of the semilocal route")
     if semilocal.count_primes_above(p, y) == 1:

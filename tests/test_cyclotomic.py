@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cyclonorm import linalg
 from cyclonorm.cyclotomic import (
     CycloIdeal,
     CycloInt,
@@ -12,6 +13,7 @@ from cyclonorm.cyclotomic import (
     embedding_abs,
     inverse_uniformizer_numerator,
     kappa,
+    kappa_int,
     kappa_inv,
     lambda_expand,
     lambda_valuation,
@@ -63,6 +65,11 @@ def test_norm_multiplicative_and_matches_conjugate_product(p):
         for c in range(1, p):
             prod = prod * a.galois(c)
         assert prod == CycloInt.from_rational(p, a.norm())
+        h = CycloInt(p, tuple(Fraction(c, rng.randrange(1, 4)) for c in a.coords))
+        prod = CycloInt.from_rational(p, 1)
+        for c in range(1, p):
+            prod = prod * h.galois(c)
+        assert prod == CycloInt.from_rational(p, h.norm())
 
 
 def test_galois_group_ring_power():
@@ -210,6 +217,61 @@ def test_ideal_examples():
         assert ia * ib == CycloIdeal.principal(a * b)
         assert (ia * ib).norm() == ia.norm() * ib.norm()
         assert ia.norm() == abs(a.norm())
+
+
+def reference_ideal_mul(a, b):
+    """The product from all (p-1)^2 products of the two Z-bases."""
+    rows = [kappa_int(x * y) for x in a.basis_elements() for y in b.basis_elements()]
+    hnf = linalg.hermite_normal_form(rows, a.p - 1, det_multiple=a.norm() * b.norm())
+    return CycloIdeal(a.p, tuple(tuple(r) for r in hnf))
+
+
+def ideals(p):
+    """Principal ideals, (alpha, n), (n, lambda), powers of lambda and the unit ideal."""
+    lam = uniformizer(p)
+    elem = st.tuples(*([st.integers(-3, 3)] * (p - 1))).map(
+        lambda t: CycloInt(p, t)).filter(lambda x: not x.is_zero())
+    n = st.integers(1, 60).map(lambda v: CycloInt.from_rational(p, v))
+    return st.one_of(
+        elem.map(CycloIdeal.principal),
+        st.tuples(elem, n).map(lambda g: CycloIdeal.from_generators(list(g))),
+        st.tuples(elem, n).map(lambda g: CycloIdeal.from_generators(list(g)) ** 2),
+        n.map(lambda v: CycloIdeal.from_generators([v, lam])),
+        st.integers(1, p).map(lambda k: CycloIdeal.principal(lam) ** k),
+        st.just(CycloIdeal.principal(CycloInt.from_rational(p, 1))),
+    )
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_ideal_product_matches_full_basis_product(p, data):
+    a, b = data.draw(ideals(p), label="a"), data.draw(ideals(p), label="b")
+    assert a * b == reference_ideal_mul(a, b)
+    for ideal in (a, b):
+        gens = ideal.generators()
+        assert gens[0] == CycloInt.from_rational(p, ideal.norm())
+        assert all(g.is_integral() and ideal.contains(g) for g in gens)
+        assert CycloIdeal.from_generators(gens) == ideal
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_lambda_powers_have_two_generators(p):
+    lam = CycloIdeal.principal(uniformizer(p))
+    for k in range(1, p + 1):
+        ideal = lam ** k
+        gens = ideal.generators()
+        assert len(gens) == 2 and CycloIdeal.from_generators(gens) == ideal
+
+
+@pytest.mark.parametrize("p,alpha,n", [(5, (-3, -2, -3, 0), 11), (7, (3, 2, -2, -3, 1, 1), 42)])
+def test_generators_take_a_third_row_when_two_fall_short(p, alpha, n):
+    ideal = CycloIdeal.from_generators([CycloInt(p, alpha), CycloInt.from_rational(p, n)]) ** 2
+    gens = ideal.generators()
+    assert len(gens) == 3
+    assert CycloIdeal.from_generators(gens[:2]) != ideal
+    assert CycloIdeal.from_generators(gens) == ideal
+    assert ideal * ideal == reference_ideal_mul(ideal, ideal)
 
 
 def test_characteristic_data_p3():

@@ -40,6 +40,10 @@ REPORT_PINS = {
         "8516910d45e4d3a4a3300944fe787bf976715f228e7555b3322f605b7a40171a",
     ("identities", 11, None, None):
         "37801a30475e485bf801e611cfeb8d797702513f3248320e9256a3f2e94c00be",
+    ("identities", 13, None, None):
+        "2b381af0a2ed5b0252d82df2da9c466778bbbcdc37172009a6f4e9c7cdb306e6",
+    ("identities", 17, None, None):
+        "01470874e0d1ddb0943469df2f79a1a574014ad347b150eef6b98535c6a56459",
     ("pipeline", 5, 3, 22):
         "acfee4ea044d6c611ab93235f4ebc1874064e228b25a30cd0fde29a5782f8cf8",
     ("pipeline", 7, 3, 26):
@@ -114,6 +118,21 @@ def test_pipeline_refuses_inert_digit_base(monkeypatch, capsys, p, y):
     assert main(["pipeline", "--p", str(p), "--x", "3", "--y", str(y)]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("invalid input: ") and "inert" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("y", [-22, -1, 1])
+def test_pipeline_refuses_digit_base_below_two(monkeypatch, capsys, y):
+    # the semilocal stages work modulo powers of y, so y < 2 is refused
+    # before stage 0 with a message that names y, not an internal modulus
+    def no_stage_zero(ctx):
+        raise AssertionError("stage 0 ran on a digit base below 2")
+
+    monkeypatch.setattr(harness, "construct_weight2_annihilator", no_stage_zero)
+    assert main(["pipeline", "--p", "5", "--x", "3", "--y", str(y)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("invalid input: ")
+    assert f"y = {y} " in captured.err and "modulus must be" not in captured.err
     assert captured.out == ""
 
 

@@ -3,15 +3,17 @@
 CycloInt and SemilocalElement both multiply, conjugate and invert through
 the module-level kernels of `cyclotomic`.  The references below are the
 earlier per-class loops: the CycloInt product, the semilocal product that
-reduces mod m at every step, and the Galois permutation.
+reduces mod m at every step, and the Galois permutation; and the earlier
+archimedean evaluation, which raised e^{2 pi i c/p} to each power in turn.
 """
 
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cyclonorm.cyclotomic import CycloInt, basis_product, galois_coords
+from cyclonorm.cyclotomic import CycloInt, basis_product, embedding_abs, galois_coords, zeta_shift
 from cyclonorm.group_ring import GroupRingElement
 from cyclonorm.semilocal import SemilocalElement, sl_embed
 
@@ -54,6 +56,17 @@ def reference_galois(p, coords, c):
     for j in range(1, p):
         out[(c * j) % p - 1] = coords[j - 1]
     return tuple(out)
+
+
+def reference_embedding_abs(x, c, dps):
+    with mpmath.workdps(dps):
+        z = mpmath.e ** (2j * mpmath.pi * c / x.p)
+        acc = mpmath.mpc(0)
+        for e in range(1, x.p):
+            coef = Fraction(x.coord(e))
+            if coef:
+                acc += mpmath.mpf(coef.numerator) / coef.denominator * z ** e
+        return abs(acc)
 
 
 def scalars(rational):
@@ -157,3 +170,43 @@ def test_group_ring_conjugate_is_sigma_minus_one(p):
     assert t.conjugate() == GroupRingElement.sigma(p, p - 1) * t
     tm = t.reduce(p)
     assert tm.conjugate() == GroupRingElement.sigma(p, p - 1, p) * tm
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_zeta_shift_is_the_product_by_zeta_power(p, data):
+    k = data.draw(st.integers(-2 * p, 2 * p), label="k")
+    zk = CycloInt.zeta_power(p, k).coords
+    a = data.draw(cyclo(p, data.draw(st.booleans(), label="rational")))
+    assert zeta_shift(p, a.coords, k) == reference_cyclo_mul(p, a.coords, zk)
+    assert_int_invariant(CycloInt(p, zeta_shift(p, a.coords, k)))
+    m = data.draw(st.integers(2, 10 ** 9), label="m")
+    u = data.draw(st.tuples(*([st.integers(0, m - 1)] * (p - 1))), label="u")
+    assert SemilocalElement(p, m, zeta_shift(p, u, k)).poly == \
+        reference_semilocal_mul(p, m, u, zk)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_fraction_product_matches_schoolbook(p, data):
+    # at least one factor has a non-integral coordinate; the other is either kind
+    a = data.draw(cyclo(p, True).filter(lambda x: not x.is_integral()), label="a")
+    b = data.draw(cyclo(p, data.draw(st.booleans(), label="rational")), label="b")
+    for x, y in ((a, b), (b, a)):
+        prod = x * y
+        assert prod.coords == reference_cyclo_mul(p, x.coords, y.coords)
+        assert_int_invariant(prod)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_embedding_abs_matches_power_evaluation(p, data):
+    x = data.draw(cyclo(p, data.draw(st.booleans(), label="rational")))
+    c = data.draw(st.integers(1, p - 1), label="c")
+    value, err = embedding_abs(x, c)
+    size = max(abs(Fraction(v).numerator) + Fraction(v).denominator for v in x.coords)
+    reference = reference_embedding_abs(x, c, 2 * (40 + len(str(size))))
+    assert abs(value - reference) <= err
