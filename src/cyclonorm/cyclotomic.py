@@ -273,9 +273,9 @@ def _over_one_denominator(coords: Tuple[Scalar, ...]) -> Tuple[Tuple[int, ...], 
 # -- coordinate maps ------------------------------------------------------------
 
 
-def kappa(x: CycloInt) -> Tuple[Fraction, ...]:
+def kappa(x: CycloInt) -> Tuple[Scalar, ...]:
     """Coordinates of x with respect to {zeta..zeta^{p-1}} (identity on storage)."""
-    return tuple(Fraction(c) for c in x.coords)
+    return x.coords
 
 
 def kappa_int(x: CycloInt) -> List[int]:
@@ -288,7 +288,7 @@ def kappa_inv(p: int, vec: Sequence[Scalar]) -> CycloInt:
     return CycloInt(p, tuple(vec))
 
 
-def trace_coordinate_residues(x: CycloInt) -> Tuple[Tuple[Fraction, ...], Tuple[Fraction, ...]]:
+def trace_coordinate_residues(x: CycloInt) -> Tuple[Tuple[Scalar, ...], Tuple[Scalar, ...]]:
     """Trace-form coordinate extraction, two variants.
 
     Returns (exact, shifted) with
@@ -301,8 +301,8 @@ def trace_coordinate_residues(x: CycloInt) -> Tuple[Tuple[Fraction, ...], Tuple[
     shifted = []
     for c in range(1, p):
         t = -sum(zeta_shift(p, x.coords, -c))          # Tr(zeta^{-c} x)
-        exact.append(Fraction(t - tr))
-        shifted.append(Fraction(t + tr))
+        exact.append(t - tr)
+        shifted.append(t + tr)
     return tuple(exact), tuple(shifted)
 
 
@@ -314,7 +314,7 @@ def trace_pairing(x: CycloInt, y: CycloInt) -> Scalar:
 def trace_product_coordinate_identity(x: CycloInt, y: CycloInt) -> bool:
     """Tr(x y) = p * sum_j x_j y_{p-j} - (sum x_i)(sum y_j), exactly."""
     p = x.p
-    lhs = Fraction((x * y).trace())
+    lhs = (x * y).trace()
     xs, ys = kappa(x), kappa(y)
     rhs = p * sum(xs[j - 1] * ys[p - j - 1] for j in range(1, p)) - sum(xs) * sum(ys)
     return lhs == rhs
@@ -328,8 +328,8 @@ class NormChain:
     is  p^2 |kappa|_sup^2  <=  p * pairing  <=  p^2 (p-1) |kappa|_sup^2.
     """
 
-    sup: Fraction
-    pairing: Fraction
+    sup: Scalar
+    pairing: Scalar
     left_ok: bool
     right_ok: bool
 
@@ -339,12 +339,12 @@ class NormChain:
 
 
 def norms_compare(x: CycloInt) -> NormChain:
-    if Fraction(x.trace()) != 0:
+    if x.trace() != 0:
         raise ValueError("norm chain applies to trace-zero elements")
     p = x.p
     coords = kappa(x)
-    sup = max((abs(c) for c in coords), default=Fraction(0))
-    pairing = Fraction(trace_pairing(x, x))
+    sup = max((abs(c) for c in coords), default=0)
+    pairing = trace_pairing(x, x)
     sq_sum = sum(c * c for c in coords)
     if pairing != p * sq_sum:
         raise AssertionError("pairing identity failed on trace-zero element")

@@ -509,6 +509,12 @@ def cmd_pipeline(cfg: RunConfig) -> Report:
     if y < 2:
         raise ValueError(f"the digit base y = {y} must be at least 2: the semilocal "
                          "stages work modulo powers of y")
+    if cfg.precision < 1:
+        raise ValueError(f"the precision {cfg.precision} must be at least 1: the "
+                         "semilocal sum works modulo y to that power")
+    if cfg.level < 1:
+        raise ValueError(f"the level {cfg.level} must be at least 1: it is the "
+                         "vanishing order of the twist stage")
     if math.gcd(y, p) != 1:
         raise ValueError("the ramified digit base is out of the semilocal route")
     if semilocal.count_primes_above(p, y) == 1:

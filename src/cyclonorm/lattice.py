@@ -15,8 +15,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .cyclotomic import CycloInt, kappa_int, kappa_inv
-from .semilocal import SemilocalElement, balanced_digit, sl_embed
-from .series import DoubleTable, denominator_exponent, reassemble
+from .semilocal import balanced_digit, sl_embed
+from .series import DoubleTable, reassemble
 
 
 class SolverIncomplete(Exception):
@@ -95,32 +95,12 @@ class ModifiedTable:
     def sup_certificate(self) -> Tuple[int, bool]:
         worst = 0
         for (n, h), e in self.entries.items():
-            worst = max(worst, max(abs(int(c)) for c in e.coords))
+            worst = max(worst, max(abs(c) for c in e.coords))
         return worst, worst < self.source.y
 
     def carry_certificate(self) -> Tuple[int, bool]:
         worst = max((s.carry_sup for s in self.steps), default=0)
         return worst, worst <= self.p - 1
-
-
-def reassemble_modified(mtable: ModifiedTable, precision: int) -> SemilocalElement:
-    """The perturbed double sum mod y^precision, divisors included."""
-    src = mtable.source
-    m = src.y ** precision
-    inv_q = pow(src.q % m, -1, m)
-    inv_x = pow(src.x % m, -1, m)
-    acc = SemilocalElement(src.p, m, (0,) * (src.p - 1))
-    for (n, h), digit in mtable.entries.items():
-        if n + h >= precision:
-            continue
-        scalar = pow(src.y, n + h, m) * pow(inv_q, denominator_exponent(n, src.q), m) % m
-        d = mtable.divisors.get((n, h), 1)
-        if d != 1:
-            scalar = scalar * pow(d, -1, m) % m
-        if not src.absorb_x:
-            scalar = scalar * pow(inv_x, n, m) % m
-        acc = acc + sl_embed(src.p, digit, m).scale(scalar)
-    return acc
 
 
 def perturb_for_independence(dtable: DoubleTable, toy_override: bool = False) -> ModifiedTable:
@@ -134,8 +114,6 @@ def perturb_for_independence(dtable: DoubleTable, toy_override: bool = False) ->
     keeps sup-norm < y, and only the forward neighbour is ever touched.
     """
     p, y = dtable.p, dtable.y
-    if not dtable.absorb_x:
-        raise ValueError("the perturbation pass expects x-absorbed rows")
     if y <= 2 * p and not toy_override:
         raise ValueError("needs y > 2p (pass toy_override to waive)")
     need = [order_unrank(i) for i in range(1, p)]
@@ -159,7 +137,7 @@ def perturb_for_independence(dtable: DoubleTable, toy_override: bool = False) ->
             steps.append(PerturbStep(pair, "independent", None, 0))
             ranks.append(space.rank)
             continue
-        scaled = [p * int(c) for c in current.coords]
+        scaled = [p * c for c in current.coords]
         residue = [balanced_digit(c, y) for c in scaled]
         carry = [(c - r) // y for c, r in zip(scaled, residue)]
         carry_sup = max(abs(c) for c in carry) if carry else 0
@@ -177,7 +155,7 @@ def perturb_for_independence(dtable: DoubleTable, toy_override: bool = False) ->
         # j, preferring a strictly smaller sup-norm.
         choices = []
         for j in range(1, p):
-            sign = -1 if int(residue[j - 1]) > 0 else 1
+            sign = -1 if residue[j - 1] > 0 else 1
             cand = list(residue)
             cand[j - 1] += sign * y
             if not space.contains(cand):
@@ -198,7 +176,9 @@ def perturb_for_independence(dtable: DoubleTable, toy_override: bool = False) ->
 
 def sum_preservation_check(mtable: ModifiedTable, precision: int) -> bool:
     """The perturbed sum equals the original double sum mod y^precision."""
-    return reassemble_modified(mtable, precision) == reassemble(mtable.source, precision)
+    src = mtable.source
+    return (reassemble(src, mtable.entries, mtable.divisors, precision)
+            == reassemble(src, src.entries, {}, precision))
 
 
 # -- Hadamard and box-lemma bounds ------------------------------------------------------------
@@ -395,9 +375,11 @@ def inhomogeneous_select(mtable: ModifiedTable, level: Optional[int] = None,
         for k in range(1, p):
             zeta_row = trace_row(CycloInt.zeta_power(p, k))
             rows = base_rows + [[a + b for a, b in zip(pivot_row, zeta_row)]]
-            if linalg.rank_rational(rows) == len(rows):
+            try:
                 box, _ = hadamard_bv(rows, p - 1)
-                bv_radius = max(bv_radius, box.sup_bound_int())
+            except ValueError:        # dependent rows: this twist has no box bound
+                continue
+            bv_radius = max(bv_radius, box.sup_bound_int())
         if bv_radius > box_radius:
             best = scan(bv_radius)
             if best is not None:
@@ -445,7 +427,7 @@ def _leading_digit_check(mtable: ModifiedTable, w: CycloInt, lvl: int,
     traced sum is pivot_pairing / (d * q^lvl), i.e. nonzero mod y."""
     src = mtable.source
     y = src.y
-    series_sum = reassemble_modified(mtable, lvl + 1)
+    series_sum = reassemble(src, mtable.entries, mtable.divisors, lvl + 1)
     m = series_sum.modulus
     traced = sl_embed(src.p, w, m) * series_sum
     value = traced.trace()

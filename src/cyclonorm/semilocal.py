@@ -138,7 +138,7 @@ class YDigits:
 
 def in_balanced_set(t: CycloInt, y: int) -> bool:
     """Whether all coordinates lie in (-y/2, y/2]."""
-    return all(-y < 2 * int(c) <= y for c in t.coords)
+    return all(-y < 2 * c <= y for c in t.coords)
 
 
 def balanced_digit(n: int, y: int) -> int:
@@ -473,49 +473,17 @@ def root_of_unity_quotient(u: SemilocalElement, v: SemilocalElement) -> Semiloca
 
 
 def pth_roots_in_factor(fact: LocalFactorization, j: int) -> List[List[int]]:
-    """All p p-th roots of unity in (Z/r^N)[X]/(Psi_j).
+    """All p p-th roots of unity in (Z/r^N)[X]/(Psi_j): the powers X^k.
 
-    Roots of the residue field (the order-p subgroup of its cyclic unit
-    group) are found deterministically and Newton-lifted.
+    r != p, so this is a Galois ring whose p-torsion is cyclic of order p,
+    each root mod r having exactly one lift.  Psi_j | Phi_p gives X^p = 1,
+    and Phi_p(1) = p is a unit mod r, so X != 1 mod r generates it.  The
+    roots are listed in the order of their residues mod r.
     """
-    r, p = fact.r, fact.p
-    f = list(fact.factors[j])
-    d = len(f) - 1
-    card = r ** d - 1
-    assert card % p == 0
+    r, p, f = fact.r, fact.p, fact.factors[j]
     f1 = _poly_red(f, r)
-    roots_mod_r = {(1,)}
-    rng = random.Random(f"{r}:{p}:{j}:pth-roots")
-    while len(roots_mod_r) < p:
-        a = _poly_trim([rng.randrange(r) for _ in range(d)])
-        if not a or _poly_gcd(a, f1, r) != [1]:
-            continue
-        w = _poly_powmod(a, card // p, f1, r)
-        if w == [1]:
-            continue
-        # w generates the whole order-p subgroup
-        cur = list(w)
-        for _ in range(p - 1):
-            roots_mod_r.add(tuple(cur))
-            cur = _poly_mod(_poly_mul(cur, w, r), f1, r)
-    out = []
-    for w0 in sorted(roots_mod_r):
-        out.append(_newton_lift_pth_root(list(w0), f, r, fact.precision, p))
-    return out
-
-
-def _newton_lift_pth_root(w: List[int], f: List[int], r: int, precision: int, p: int) -> List[int]:
-    """Lift w with w^p = 1 mod (r, f) to mod (r^precision, f)."""
-    k = 1
-    while k < precision:
-        k = min(2 * k, precision)
-        m = r ** k
-        fm = _poly_red(f, m)
-        val = _poly_sub(_poly_powmod(w, p, fm, m), [1], m)
-        deriv = _poly_mod(_poly_mul([p % m], _poly_powmod(w, p - 1, fm, m), m), fm, m)
-        dinv = _lift_inverse_mod(deriv, f, r, k)
-        w = _poly_mod(_poly_sub(w, _poly_mul(val, dinv, m), m), fm, m)
-    return _poly_red(w, r ** precision)
+    ks = sorted(range(p), key=lambda k: _poly_powmod([0, 1], k, f1, r))
+    return [_poly_powmod([0, 1], k, f, fact.modulus) for k in ks]
 
 
 def prime_power_split(y: int) -> List[Tuple[int, int]]:
@@ -556,14 +524,12 @@ def global_pth_root_embeddings(p: int, modulus: int) -> List[SemilocalElement]:
     return [sl_embed(p, CycloInt.zeta_power(p, k), modulus) for k in range(p)]
 
 
-def synthetic_root_of_unity(p: int, y: int, precision: int, seed: int = 0,
-                            nontrivial: bool = True) -> SemilocalElement:
+def synthetic_root_of_unity(p: int, y: int, precision: int, seed: int = 0) -> SemilocalElement:
     """A deterministic semilocal p-th root of unity in Z_y[zeta] mod y^precision.
 
-    Built factor-by-factor over every prime r | y and CRT-joined.  With
-    `nontrivial`, selections are varied until the result differs from every
-    diagonal embedding of a global p-th root of unity (possible whenever some
-    prime of y splits).
+    Built factor-by-factor over every prime r | y and CRT-joined.  Selections
+    are varied until the result differs from every diagonal embedding of a
+    global p-th root of unity (possible whenever some prime of y splits).
     """
     if math.gcd(p, y) != 1:
         raise ValueError("digit base must be prime to p")
@@ -586,7 +552,7 @@ def synthetic_root_of_unity(p: int, y: int, precision: int, seed: int = 0,
         modulus = y ** precision
         coords = []
         for i in range(p - 1):
-            pairs = [(int(u.poly[i]), u.modulus) for u in residues_per_prime]
+            pairs = [(u.poly[i], u.modulus) for u in residues_per_prime]
             coords.append(_int_crt(pairs) % modulus)
         return SemilocalElement(p, modulus, tuple(coords))
 
@@ -596,6 +562,6 @@ def synthetic_root_of_unity(p: int, y: int, precision: int, seed: int = 0,
         rho = build((offset + step) % limit)
         if not (rho ** p).is_one():
             raise ArithmeticError("constructed element is not a p-th root of unity")
-        if not nontrivial or all(rho != g for g in globals_):
+        if all(rho != g for g in globals_):
             return rho
     raise ArithmeticError("all p-th roots of unity at this modulus are global embeddings")

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import mpmath
 
@@ -111,9 +111,9 @@ def normalized_coeffs(theta: GroupRingElement, m_max: int, q: int) -> List[Cyclo
 def _exact_divide_scalar(x: CycloInt, d: int) -> CycloInt:
     out = []
     for c in x.coords:
-        if int(c) % d != 0:
+        if c % d != 0:
             raise ArithmeticError("integrality of normalized coefficients failed")
-        out.append(int(c) // d)
+        out.append(c // d)
     return CycloInt(x.p, tuple(out))
 
 
@@ -368,8 +368,7 @@ class DoubleTable:
     """Balanced digits b_{n,h} of the twisted series rows.
 
     Row n is rho * a'_n * x^{-n} (the x power is absorbed into the row so the
-    series becomes sum_n row_n y^n / q^{E(n)}; absorb_x=False leaves the
-    plain rho * a'_n rows of the digit definition).  Entry (n, h) is the h-th
+    series becomes sum_n row_n y^n / q^{E(n)}).  Entry (n, h) is the h-th
     balanced digit of row n; the pair contributes at order y^{n+h}.
     """
 
@@ -378,7 +377,6 @@ class DoubleTable:
     x: int
     y: int
     depth: int
-    absorb_x: bool
     rho: SemilocalElement
     entries: Dict[Tuple[int, int], CycloInt]
 
@@ -390,7 +388,7 @@ class DoubleTable:
 
 
 def double_table(table: SeriesTable, rho: SemilocalElement, x: int, y: int,
-                 depth: int, absorb_x: bool = True) -> DoubleTable:
+                 depth: int) -> DoubleTable:
     """Digit table b_{n,h} for all pairs with n + h <= depth."""
     modulus = y ** (depth + 1)
     if rho.modulus % modulus != 0:
@@ -402,27 +400,30 @@ def double_table(table: SeriesTable, rho: SemilocalElement, x: int, y: int,
     entries: Dict[Tuple[int, int], CycloInt] = {}
     for n in range(depth + 1):
         row = rho_m * sl_embed(table.p, table.numerators[n], modulus)
-        if absorb_x:
-            row = row.scale(pow(inv_x, n, modulus))
+        row = row.scale(pow(inv_x, n, modulus))
         digits = y_digits(row, depth + 1 - n, y)
         for h, digit in enumerate(digits.digits):
             entries[(n, h)] = digit
-    return DoubleTable(table.p, table.q, x, y, depth, absorb_x, rho, entries)
+    return DoubleTable(table.p, table.q, x, y, depth, rho, entries)
 
 
-def reassemble(dtable: DoubleTable, numerators_precision: int) -> SemilocalElement:
-    """sum over pairs of b_{n,h} y^{n+h} / (q^{E(n)} x^{n or 0}) mod y^K."""
-    k = numerators_precision
-    m = dtable.y ** k
+def reassemble(dtable: DoubleTable, entries: Mapping[Tuple[int, int], CycloInt],
+               divisors: Mapping[Tuple[int, int], int], precision: int) -> SemilocalElement:
+    """sum over entries of b_{n,h} y^{n+h} / (d(n,h) q^{E(n)}) mod y^precision.
+
+    dtable gives p, q and y; the entries are its own or a perturbed copy, and
+    a pair missing from divisors has d(n,h) = 1.
+    """
+    m = dtable.y ** precision
     inv_q = pow(dtable.q % m, -1, m)
-    inv_x = pow(dtable.x % m, -1, m)
     acc = SemilocalElement(dtable.p, m, (0,) * (dtable.p - 1))
-    for (n, h), digit in dtable.entries.items():
-        if n + h >= k:
+    for (n, h), digit in entries.items():
+        if n + h >= precision:
             continue
         scalar = pow(dtable.y, n + h, m) * pow(inv_q, denominator_exponent(n, dtable.q), m) % m
-        if not dtable.absorb_x:
-            scalar = scalar * pow(inv_x, n, m) % m
+        d = divisors.get((n, h), 1)
+        if d != 1:
+            scalar = scalar * pow(d, -1, m) % m
         acc = acc + sl_embed(dtable.p, digit, m).scale(scalar)
     return acc
 
@@ -431,19 +432,18 @@ def reassembly_check(dtable: DoubleTable, table: SeriesTable, cutoff: int) -> bo
     """The double sum reproduces rho * (series sum) mod y^cutoff."""
     target = sl_eval(table, dtable.x, dtable.y, cutoff).value
     rho_k = dtable.rho.reduce_to(dtable.y ** cutoff)
-    lhs = reassemble(dtable, cutoff)
+    lhs = reassemble(dtable, dtable.entries, {}, cutoff)
     return lhs == rho_k * target
 
 
 def digit_rows_check(dtable: DoubleTable, table: SeriesTable) -> bool:
-    """Row definition: digits of row n reassemble rho * a'_n (* x^{-n})."""
+    """Row definition: digits of row n reassemble rho * a'_n * x^{-n}."""
     m = dtable.y ** (dtable.depth + 1)
     rho_m = dtable.rho.reduce_to(m)
     inv_x = pow(dtable.x % m, -1, m)
     for n in range(dtable.depth + 1):
         row = rho_m * sl_embed(dtable.p, table.numerators[n], m)
-        if dtable.absorb_x:
-            row = row.scale(pow(inv_x, n, m))
+        row = row.scale(pow(inv_x, n, m))
         digits = [dtable.entries[(n, h)] for h in range(dtable.depth + 1 - n)]
         partial = YDigits(dtable.p, dtable.y, tuple(digits)).assemble(m)
         k = dtable.depth + 1 - n

@@ -199,7 +199,7 @@ def test_criterion_07_perturbation_pass():
         entries[(1, 0)] = entries[(0, 0)]
         entries[(1, 1)] = entries[(0, 1)]
         rho = semilocal.synthetic_root_of_unity(p, y, 6, seed=seed)
-        dt = DoubleTable(p, p, x, y, 5, True, rho, entries)
+        dt = DoubleTable(p, p, x, y, 5, rho, entries)
         mt = lattice.perturb_for_independence(dt)
         ok &= mt.ranks == [lattice.order_rank(pair) for pair in mt.processed]
         ok &= lattice.sum_preservation_check(mt, 5)

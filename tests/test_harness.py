@@ -48,6 +48,14 @@ REPORT_PINS = {
         "acfee4ea044d6c611ab93235f4ebc1874064e228b25a30cd0fde29a5782f8cf8",
     ("pipeline", 7, 3, 26):
         "2b515351bdfc90341bfb833f4ecc0d079be3c18f31658fab90d9003338ec97b4",
+    # the digit bases below: 5^2 over degree-5 factors, 3^3 over degree-3
+    # factors, and 3 inert times 11 split
+    ("pipeline", 11, 2, 25):
+        "3c100e2a8685aeece474ab8ded32160898a2cfc982c90f351f274f2578cd010f",
+    ("pipeline", 13, 2, 27):
+        "0dd09303f23f023853c151992f7e4ac5bf2293e7d27f02c37cdd774dd9779752",
+    ("pipeline", 5, 2, 33):
+        "c20b0b773f2590bf14eea93b2685b70185ed9d65fcef9db9d9107e07160a8b7e",
 }
 
 
@@ -133,6 +141,22 @@ def test_pipeline_refuses_digit_base_below_two(monkeypatch, capsys, y):
     captured = capsys.readouterr()
     assert captured.err.startswith("invalid input: ")
     assert f"y = {y} " in captured.err and "modulus must be" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("flag,value", [("--precision", -1), ("--precision", 0),
+                                        ("--level", 0), ("--level", -3)])
+def test_pipeline_refuses_precision_or_level_below_one(monkeypatch, capsys, flag, value):
+    # refused before stage 0, not by a traceback or an internal modulus
+    # after the series stages
+    def no_stage_zero(ctx):
+        raise AssertionError("stage 0 ran with a precision or level below 1")
+
+    monkeypatch.setattr(harness, "construct_weight2_annihilator", no_stage_zero)
+    assert main(["pipeline", "--p", "5", "--x", "3", "--y", "22", flag, str(value)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("invalid input: ")
+    assert f"{flag[2:]} {value} must be at least 1" in captured.err
     assert captured.out == ""
 
 

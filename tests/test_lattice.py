@@ -203,7 +203,7 @@ def synthetic_table(p, y, x, depth, seed, plant=True):
         entries[(1, 0)] = entries[(0, 0)]
         entries[(1, 1)] = entries[(0, 1)]
     rho = synthetic_root_of_unity(p, y, depth + 1, seed=seed)
-    return DoubleTable(p, p, x, y, depth, True, rho, entries)
+    return DoubleTable(p, p, x, y, depth, rho, entries)
 
 
 def test_perturbation_on_genuine_table():
@@ -249,10 +249,10 @@ def test_perturbation_identity_when_independent():
 def test_perturbation_guards():
     p, y, x = 5, 8, 3
     dt = synthetic_table(p, 106, x, 5, 0)
-    small = DoubleTable(p, p, x, y, 5, True, dt.rho, dt.entries)
+    small = DoubleTable(p, p, x, y, 5, dt.rho, dt.entries)
     with pytest.raises(ValueError):
         perturb_for_independence(small)          # y <= 2p without the override
-    shallow = DoubleTable(p, p, x, 106, 1, True, dt.rho,
+    shallow = DoubleTable(p, p, x, 106, 1, dt.rho,
                           {k: v for k, v in dt.entries.items() if sum(k) <= 1})
     with pytest.raises(ValueError):
         perturb_for_independence(shallow)        # missing forward guard entries

@@ -7,6 +7,14 @@ from cyclonorm.cyclotomic import CycloInt
 from cyclonorm.group_ring import is_prime
 from cyclonorm.semilocal import (
     SemilocalElement,
+    _lift_inverse_mod,
+    _poly_gcd,
+    _poly_mod,
+    _poly_mul,
+    _poly_powmod,
+    _poly_red,
+    _poly_sub,
+    _poly_trim,
     balanced_digit,
     crt_from_factors,
     factor_phi,
@@ -158,7 +166,6 @@ def test_factor_projection_crt_roundtrip():
         for j in range(fact.g):
             pu = project_to_factor(u, fact, j)
             pv = project_to_factor(v, fact, j)
-            from cyclonorm.semilocal import _poly_mod, _poly_mul
             direct = _poly_mod(_poly_mul(pu, pv, m), list(fact.factors[j]), m)
             assert direct == project_to_factor(prod, fact, j)
 
@@ -197,6 +204,59 @@ def test_root_enumeration_count():
     # exactly 3 of the 9 are global embeddings
     globals_ = {g.poly for g in global_pth_root_embeddings(3, 7 ** 2)}
     assert len(globals_ & seen) == 3
+
+
+def reference_pth_roots_in_factor(fact, j):
+    """The earlier construction: random search mod r, then a Newton lift."""
+    r, p = fact.r, fact.p
+    f = list(fact.factors[j])
+    d = len(f) - 1
+    card = r ** d - 1
+    assert card % p == 0
+    f1 = _poly_red(f, r)
+    roots_mod_r = {(1,)}
+    rng = random.Random(f"{r}:{p}:{j}:pth-roots")
+    while len(roots_mod_r) < p:
+        a = _poly_trim([rng.randrange(r) for _ in range(d)])
+        if not a or _poly_gcd(a, f1, r) != [1]:
+            continue
+        w = _poly_powmod(a, card // p, f1, r)
+        if w == [1]:
+            continue
+        cur = list(w)
+        for _ in range(p - 1):
+            roots_mod_r.add(tuple(cur))
+            cur = _poly_mod(_poly_mul(cur, w, r), f1, r)
+    return [reference_newton_lift(list(w0), f, r, fact.precision, p)
+            for w0 in sorted(roots_mod_r)]
+
+
+def reference_newton_lift(w, f, r, precision, p):
+    k = 1
+    while k < precision:
+        k = min(2 * k, precision)
+        m = r ** k
+        fm = _poly_red(f, m)
+        val = _poly_sub(_poly_powmod(w, p, fm, m), [1], m)
+        deriv = _poly_mod(_poly_mul([p % m], _poly_powmod(w, p - 1, fm, m), m), fm, m)
+        dinv = _lift_inverse_mod(deriv, f, r, k)
+        w = _poly_mod(_poly_sub(w, _poly_mul(val, dinv, m), m), fm, m)
+    return _poly_red(w, r ** precision)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_pth_roots_match_search_and_lift(p):
+    # same roots in the same order, so every seed selects the same rho
+    for r in range(2, 60):
+        if not is_prime(r) or r == p:
+            continue
+        for precision in (1, 2, 3, 5):
+            fact = factor_phi(r, p, precision)
+            for j in range(fact.g):
+                roots = pth_roots_in_factor(fact, j)
+                assert roots == reference_pth_roots_in_factor(fact, j)
+                m, f = fact.modulus, list(fact.factors[j])
+                assert all(_poly_powmod(w, p, f, m) == [1] for w in roots)
 
 
 def test_balanced_digit_bounds():

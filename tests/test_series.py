@@ -16,7 +16,6 @@ from cyclonorm.series import (
     factorial_valuation,
     normalized_coeffs,
     pth_power_check,
-    reassemble,
     reassembly_check,
     sl_eval,
     wieferich_sums,
@@ -183,13 +182,6 @@ def test_double_table_rows_and_reassembly():
         from cyclonorm.semilocal import y_digits
         rho_digits = y_digits(rho.reduce_to(y ** 6), 6, y)
         assert dt.entry(0, 0) == rho_digits.digits[0]
-        # literal row definition without the absorbed power
-        dt0 = double_table(tab, rho, x, y, depth=4, absorb_x=False)
-        assert digit_rows_check(dt0, tab)
-        m = y ** 5
-        lhs = reassemble(dt0, 5)
-        rhs = rho.reduce_to(m) * sl_eval(tab, x, y, 5).value
-        assert lhs == rhs
 
 
 def test_double_table_requires_precision():
