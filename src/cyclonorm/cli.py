@@ -62,6 +62,8 @@ def main(argv=None) -> int:
             bound = args.bound
             if bound is None:
                 bound = lattice.hadamard_bv(rows, len(rows[0]))[0].sup_bound_int()
+            if bound < 1:
+                raise ValueError(f"the sup-norm bound must be at least 1, got {bound}")
         except (ValueError, OSError) as exc:
             print(f"invalid input: {exc}", file=sys.stderr)
             return 2

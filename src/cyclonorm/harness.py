@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -691,8 +691,17 @@ def cmd_report(cfg: RunConfig) -> List[str]:
     json_path = cfg.out + ".json"
     with open(json_path, encoding="ascii") as f:
         tree = json.load(f)
+    if not (isinstance(tree, dict) and isinstance(tree.get("command"), str)
+            and isinstance(tree.get("config"), dict) and isinstance(tree.get("records"), list)):
+        raise ValueError(f"{json_path} is not a report: needs command, config and records")
     report = Report(tree["command"], tree["config"])
-    for rec in tree["records"]:
+    record_keys = {item.name for item in fields(CheckRecord)}
+    for i, rec in enumerate(tree["records"]):
+        if not isinstance(rec, dict) or set(rec) != record_keys:
+            raise ValueError(f"{json_path}: record {i} does not have the fields "
+                             f"{', '.join(sorted(record_keys))}")
+        if rec["status"] not in ("pass", "fail", "waived"):
+            raise ValueError(f"{json_path}: record {i} has status {rec['status']!r}")
         report.records.append(CheckRecord(**rec))
     tsv_path = cfg.out + ".tsv"
     with open(tsv_path, "w", encoding="ascii") as f:

@@ -249,7 +249,7 @@ def siegel_solve(rows: Sequence[Sequence[int]], ambient: int,
         box, _ = hadamard_bv(rows, ambient)
         bound = box.sup_bound_int()
     if bound < 1:
-        bound = 1
+        raise ValueError(f"the sup-norm bound must be at least 1, got {bound}")
 
     def canonical(v: List[int]) -> Tuple[int, Tuple[int, ...]]:
         first = next(x for x in v if x)

@@ -2,8 +2,9 @@
 
 Z_y[zeta] at working precision y^N is represented as (Z/y^N)[X]/(Phi_p(X)),
 written in the power basis {zeta..zeta^{p-1}}.  The Galois action is the
-substitution X -> X^c; the product-of-completions picture is recovered on
-demand by factoring Phi_p modulo prime powers (Hensel lifting) and CRT.
+substitution X -> X^c.  The product-of-completions picture lives in the same
+ring: each factor of Phi_p over F_r, r | y, gives an idempotent E, lifted
+from F_r to Z/y^N, and x E is the component of x in that completion.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple, Union
 
-from .cyclotomic import CycloInt, basis_product, cofactor_product, galois_coords, power
+from .cyclotomic import CycloInt, basis_product, cofactor_product, galois_coords, power, zeta_shift
 from .group_ring import is_prime
 
 
@@ -251,22 +252,6 @@ def _poly_powmod(a: Sequence[int], e: int, f: Sequence[int], m: int) -> List[int
     return result
 
 
-def _poly_ext_gcd(a: Sequence[int], b: Sequence[int], r: int) -> Tuple[List[int], List[int]]:
-    """(s, t) with s*a + t*b = 1 over F_r for coprime a, b."""
-    r0, r1 = _poly_red(a, r), _poly_red(b, r)
-    s0, s1 = [1], []
-    t0, t1 = [], [1]
-    while r1:
-        q, rem = _poly_divmod(r0, r1, r)
-        r0, r1 = r1, rem
-        s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1, r), r)
-        t0, t1 = t1, _poly_sub(t0, _poly_mul(q, t1, r), r)
-    if len(r0) != 1:
-        raise ArithmeticError("polynomials are not coprime")
-    inv = pow(r0[0], -1, r)
-    return [x * inv % r for x in s0], [x * inv % r for x in t0]
-
-
 def _cyclotomic_poly(p: int) -> List[int]:
     return [1] * p
 
@@ -300,39 +285,11 @@ def _equal_degree_split(f: List[int], d: int, r: int, rng: random.Random) -> Lis
             return _equal_degree_split(g, d, r, rng) + _equal_degree_split(q, d, r, rng)
 
 
-def _hensel_lift_factor(f: List[int], g0: List[int], r: int, precision: int) -> List[int]:
-    """Lift a monic factor g0 of monic f from mod r to mod r^precision.
-
-    Linear Hensel steps: with f = g*h + r^k e and s*g + t*h = 1 over F_r,
-    the corrections dg = (t e) rem g and dh = (e - dg h)/g keep f = g*h to
-    one more power of r.
-    """
-    g_r = _poly_red(g0, r)
-    h_r, rem = _poly_divmod(_poly_red(f, r), g_r, r)
-    if rem:
-        raise ArithmeticError("input factor does not divide")
-    s, t = _poly_ext_gcd(g_r, h_r, r)
-    g, h = list(g_r), list(h_r)
-    for k in range(1, precision):
-        m = r ** (k + 1)
-        e_full = _poly_sub(_poly_red(f, m), _poly_mul(g, h, m), m)
-        assert all(c % r ** k == 0 for c in e_full)
-        e = _poly_red([c // r ** k for c in e_full], r)
-        dg = _poly_mod(_poly_mul(t, e, r), g_r, r)
-        num = _poly_sub(e, _poly_mul(dg, h_r, r), r)
-        dh, rem2 = _poly_divmod(num, g_r, r)
-        assert not rem2
-        g = _poly_add(g, [c * r ** k % m for c in dg], m)
-        h = _poly_add(h, [c * r ** k % m for c in dh], m)
-    return _poly_red(g, r ** precision)
-
-
 @dataclass(frozen=True)
 class LocalFactorization:
     r: int
     p: int
-    precision: int                  # factors are exact mod r^precision
-    factors: Tuple[Tuple[int, ...], ...]
+    factors: Tuple[Tuple[int, ...], ...]     # monic, sorted, over F_r
 
     @property
     def g(self) -> int:
@@ -341,10 +298,6 @@ class LocalFactorization:
     @property
     def residue_degree(self) -> int:
         return len(self.factors[0]) - 1
-
-    @property
-    def modulus(self) -> int:
-        return self.r ** self.precision
 
 
 def multiplicative_order(a: int, n: int) -> int:
@@ -358,49 +311,28 @@ def multiplicative_order(a: int, n: int) -> int:
     return k
 
 
-def factor_phi(r: int, p: int, precision: int, seed: int = 0) -> LocalFactorization:
-    """Monic factorization of Phi_p modulo r^precision.
+def factor_phi(r: int, p: int) -> LocalFactorization:
+    """Monic factorization of Phi_p over F_r, factors sorted.
 
-    g = (p-1)/ord_p(r) factors of equal degree ord_p(r); Hensel-lifted from
-    the factorization over F_r; the product is checked against Phi_p exactly.
+    g = (p-1)/ord_p(r) distinct factors of degree ord_p(r); the product is
+    checked against Phi_p.  The factorization is unique, so the random
+    splitting cannot change the sorted result.
     """
     if not is_prime(r):
         raise ValueError(f"{r} is not prime")
     if r == p:
         raise ValueError("the ramified prime is handled by uniformizer expansions")
     d = multiplicative_order(r, p)
-    phi = _cyclotomic_poly(p)
-    rng = random.Random(f"{seed}:{r}:{p}")
-    base_factors = _equal_degree_split(_poly_red(phi, r), d, r, rng)
-    base_factors.sort()
-    target = r ** precision
-    lifted = []
-    for g in base_factors:
-        if precision == 1:
-            lifted.append(tuple(g))
-        else:
-            lifted.append(tuple(_hensel_lift_factor(phi, g, r, precision)))
+    phi = _poly_red(_cyclotomic_poly(p), r)
+    factors = sorted(_equal_degree_split(phi, d, r, random.Random(f"{r}:{p}")))
     prod = [1]
-    for g in lifted:
-        prod = _poly_mul(prod, list(g), target)
-    if prod != _poly_red(phi, target):
-        raise ArithmeticError("lifted factors do not multiply back to the cyclotomic polynomial")
-    if len(lifted) != (p - 1) // d:
+    for g in factors:
+        prod = _poly_mul(prod, g, r)
+    if prod != phi:
+        raise ArithmeticError("factors do not multiply back to the cyclotomic polynomial")
+    if len(factors) != (p - 1) // d:
         raise ArithmeticError("wrong number of local factors")
-    return LocalFactorization(r, p, precision, tuple(lifted))
-
-
-# -- per-factor projections and CRT ------------------------------------------------
-
-
-def coords_to_poly(u: SemilocalElement) -> List[int]:
-    """Coordinates on {zeta..zeta^{p-1}} to a degree < p-1 polynomial mod Phi_p."""
-    p, m = u.p, u.modulus
-    top = u.poly[p - 2]
-    out = [(-top) % m]
-    for j in range(1, p - 1):
-        out.append((u.poly[j - 1] - top) % m)
-    return _poly_trim(out)
+    return LocalFactorization(r, p, tuple(map(tuple, factors)))
 
 
 def poly_to_coords(poly: Sequence[int], p: int, m: int) -> SemilocalElement:
@@ -418,72 +350,7 @@ def poly_to_coords(poly: Sequence[int], p: int, m: int) -> SemilocalElement:
     return SemilocalElement(p, m, tuple(coords))
 
 
-def project_to_factor(u: SemilocalElement, fact: LocalFactorization, j: int) -> List[int]:
-    """Image of u in (Z/r^N)[X]/(Psi_j)."""
-    m = fact.modulus
-    if u.modulus % m != 0:
-        raise ValueError("element modulus is not divisible by the factor modulus")
-    reduced = u.reduce_to(m) if u.modulus != m else u
-    return _poly_mod(coords_to_poly(reduced), list(fact.factors[j]), m)
-
-
-def _lift_inverse_mod(a: Sequence[int], f: Sequence[int], r: int, precision: int) -> List[int]:
-    """Inverse of a modulo (r^precision, f), f monic, a a unit mod (r, f)."""
-    s, _ = _poly_ext_gcd(_poly_mod(_poly_red(a, r), _poly_red(f, r), r), _poly_red(f, r), r)
-    k = 1
-    inv = s
-    while k < precision:
-        k = min(2 * k, precision)
-        m = r ** k
-        fm = _poly_red(f, m)
-        am = _poly_mod(_poly_red(a, m), fm, m)
-        prod = _poly_mod(_poly_mul(am, inv, m), fm, m)
-        inv = _poly_mod(_poly_mul(inv, _poly_sub([2], prod, m), m), fm, m)
-    return inv
-
-
-def crt_from_factors(residues: Sequence[Sequence[int]], fact: LocalFactorization) -> SemilocalElement:
-    """Reassemble an element of (Z/r^N)[X]/(Phi_p) from per-factor residues."""
-    m = fact.modulus
-    total: List[int] = []
-    for j, res in enumerate(residues):
-        others = [1]
-        for i, f in enumerate(fact.factors):
-            if i != j:
-                others = _poly_mul(others, list(f), m)
-        inv = _lift_inverse_mod(others, list(fact.factors[j]), fact.r, fact.precision)
-        term = _poly_mod(_poly_mul(list(res), inv, m), list(fact.factors[j]), m)
-        total = _poly_add(total, _poly_mul(term, others, m), m)
-    total = _poly_mod(total, _cyclotomic_poly(fact.p), m)
-    return poly_to_coords(total, fact.p, m)
-
-
 # -- roots of unity -----------------------------------------------------------------
-
-
-def root_of_unity_quotient(u: SemilocalElement, v: SemilocalElement) -> SemilocalElement:
-    """rho = u/v, verified to satisfy rho^p = 1 at the working precision."""
-    rho = u * v.inverse()
-    if not (rho ** rho.p).is_one():
-        raise ArithmeticError(
-            "quotient is not a p-th root of unity at working precision; "
-            "this indicates an upstream series or precision bug"
-        )
-    return rho
-
-
-def pth_roots_in_factor(fact: LocalFactorization, j: int) -> List[List[int]]:
-    """All p p-th roots of unity in (Z/r^N)[X]/(Psi_j): the powers X^k.
-
-    r != p, so this is a Galois ring whose p-torsion is cyclic of order p,
-    each root mod r having exactly one lift.  Psi_j | Phi_p gives X^p = 1,
-    and Phi_p(1) = p is a unit mod r, so X != 1 mod r generates it.  The
-    roots are listed in the order of their residues mod r.
-    """
-    r, p, f = fact.r, fact.p, fact.factors[j]
-    f1 = _poly_red(f, r)
-    ks = sorted(range(p), key=lambda k: _poly_powmod([0, 1], k, f1, r))
-    return [_poly_powmod([0, 1], k, f, fact.modulus) for k in ks]
 
 
 def prime_power_split(y: int) -> List[Tuple[int, int]]:
@@ -509,54 +376,72 @@ def count_primes_above(p: int, y: int) -> int:
     return sum((p - 1) // multiplicative_order(r, p) for r, _ in prime_power_split(y))
 
 
-def _int_crt(pairs: Sequence[Tuple[int, int]]) -> int:
-    x, m = 0, 1
-    for a, n in pairs:
-        assert math.gcd(m, n) == 1
-        t = (a - x) * pow(m, -1, n) % n
-        x += m * t
-        m *= n
-    return x % m
-
-
 def global_pth_root_embeddings(p: int, modulus: int) -> List[SemilocalElement]:
     """Diagonal embeddings of the p global p-th roots of unity."""
     return [sl_embed(p, CycloInt.zeta_power(p, k), modulus) for k in range(p)]
 
 
+def root_slots(p: int, y: int, precision: int) -> List[Tuple[SemilocalElement, List[int]]]:
+    """(E, ks) for each factor Psi of Phi_p over F_r, for each prime r | y.
+
+    E is the primitive idempotent of (Z/y^N)[X]/(Phi_p) on the completion
+    of Psi, so the p-th roots of unity there are zeta^k E (the completion is
+    unramified, as r != p).  Over F_r, e = 1 - Psi(zeta)^{r^d - 1}: Psi is a
+    unit in F_r[X]/(Psi') for Psi' != Psi and zero for Psi' = Psi.  The
+    integer idempotent M (M^-1 mod r^{aN}), M = y^N / r^{aN}, of Z/y^N
+    moves e onto the r-part, and each step E <- 3E^2 - 2E^3 doubles its
+    r-adic precision.  ks lists k = 0..p-1 in the order of X^k mod (r, Psi).
+    Raises ArithmeticError unless every E is idempotent and they sum to 1.
+    """
+    modulus = y ** precision
+    slots = []
+    for r, a in prime_power_split(y):
+        fact = factor_phi(r, p)
+        r_part = r ** (a * precision)
+        cofactor = modulus // r_part
+        unit = cofactor * pow(cofactor, -1, r_part)
+        for psi in fact.factors:
+            e = sl_embed(p, 1, r) - poly_to_coords(psi, p, r) ** (r ** fact.residue_degree - 1)
+            idem = SemilocalElement(p, modulus, e.poly).scale(unit)
+            for _ in range((a * precision).bit_length()):
+                sq = idem * idem
+                idem = sq.scale(3) - (sq * idem).scale(2)
+            if idem * idem != idem:
+                raise ArithmeticError("factor idempotent did not lift")
+            x_powers = [[1]]
+            for _ in range(p - 1):
+                x_powers.append(_poly_mod([0] + x_powers[-1], psi, r))
+            slots.append((idem, sorted(range(p), key=x_powers.__getitem__)))
+    total = SemilocalElement(p, modulus, (0,) * (p - 1))
+    for idem, _ in slots:
+        total = total + idem
+    if not total.is_one():
+        raise ArithmeticError("factor idempotents do not sum to 1")
+    return slots
+
+
 def synthetic_root_of_unity(p: int, y: int, precision: int, seed: int = 0) -> SemilocalElement:
     """A deterministic semilocal p-th root of unity in Z_y[zeta] mod y^precision.
 
-    Built factor-by-factor over every prime r | y and CRT-joined.  Selections
-    are varied until the result differs from every diagonal embedding of a
-    global p-th root of unity (possible whenever some prime of y splits).
+    rho = sum_s zeta^{k_s} E_s over the factor slots s of every prime r | y
+    (see root_slots).  Selections are varied until the result differs from
+    every diagonal embedding of a global p-th root of unity (possible
+    unless y is a power of one prime inert in Q(zeta_p)).
     """
     if math.gcd(p, y) != 1:
         raise ValueError("digit base must be prime to p")
-    parts = prime_power_split(y)
-    facts = [factor_phi(r, p, a * precision, seed=seed) for r, a in parts]
-    globals_ = global_pth_root_embeddings(p, y ** precision)
-    roots_per_slot = [[pth_roots_in_factor(fact, j) for j in range(fact.g)]
-                      for fact in facts]
-    nslots = sum(fact.g for fact in facts)
+    modulus = y ** precision
+    slots = root_slots(p, y, precision)
+    globals_ = global_pth_root_embeddings(p, modulus)
 
     def build(selection: int) -> SemilocalElement:
-        residues_per_prime = []
-        s = selection
-        for fact, roots in zip(facts, roots_per_slot):
-            per_factor = []
-            for j in range(fact.g):
-                per_factor.append(list(roots[j][s % p]))
-                s //= p
-            residues_per_prime.append(crt_from_factors(per_factor, fact))
-        modulus = y ** precision
-        coords = []
-        for i in range(p - 1):
-            pairs = [(u.poly[i], u.modulus) for u in residues_per_prime]
-            coords.append(_int_crt(pairs) % modulus)
-        return SemilocalElement(p, modulus, tuple(coords))
+        rho = SemilocalElement(p, modulus, (0,) * (p - 1))
+        for idem, ks in slots:
+            rho = rho + SemilocalElement(p, modulus, zeta_shift(p, idem.poly, ks[selection % p]))
+            selection //= p
+        return rho
 
-    limit = min(p ** nslots, 5000)
+    limit = min(p ** len(slots), 5000)
     offset = seed % limit
     for step in range(limit):
         rho = build((offset + step) % limit)

@@ -221,6 +221,31 @@ def test_cli_report_rerender(tmp_path):
     assert (tmp_path / "rep.tsv").read_bytes() == tsv_before
 
 
+@pytest.mark.parametrize("tree", [
+    {},
+    [1, 2],
+    {"command": "identities", "config": {}, "records": [{"name": "x", "colour": "red"}]},
+], ids=["empty-object", "list", "unknown-record-key"])
+def test_cli_report_rejects_non_report(tmp_path, capsys, tree):
+    base = tmp_path / "rep"
+    (tmp_path / "rep.json").write_text(json.dumps(tree))
+    assert main(["report", "--out", str(base)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("invalid input: ")
+    assert captured.out == ""
+    assert not (tmp_path / "rep.tsv").exists()
+
+
+@pytest.mark.parametrize("bound", ["0", "-4"])
+def test_cli_siegel_rejects_bound_below_one(tmp_path, capsys, bound):
+    mat = tmp_path / "m.txt"
+    mat.write_text("1 5\n1 1 1 1 1\n")
+    assert main(["siegel", "--matrix", str(mat), "--bound", bound]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("invalid input: ")
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("text", [
     "2 4\n1 2 3 4\n1 2 3\n",          # a row shorter than declared
     "",                               # an empty file

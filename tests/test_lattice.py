@@ -172,6 +172,13 @@ def test_siegel_solver_incomplete():
         siegel_solve([[1, 0], [0, 1]], 2, 5)
 
 
+def test_siegel_refuses_bound_below_one():
+    # a bound below 1 admits no nonzero vector: refused, not raised to 1
+    for bound in (0, -4):
+        with pytest.raises(ValueError):
+            siegel_solve([[1, 1, 1, 1, 1]], 5, bound)
+
+
 def test_matrix_file_roundtrip(tmp_path):
     rows = [[1, -2, 3], [0, 4, -5]]
     path = tmp_path / "mat.txt"

@@ -1,13 +1,16 @@
+import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from cyclonorm.cyclotomic import CycloInt
+from cyclonorm.cyclotomic import CycloInt, zeta_shift
 from cyclonorm.group_ring import is_prime
 from cyclonorm.semilocal import (
     SemilocalElement,
-    _lift_inverse_mod,
+    _cyclotomic_poly,
+    _poly_add,
+    _poly_divmod,
     _poly_gcd,
     _poly_mod,
     _poly_mul,
@@ -16,15 +19,14 @@ from cyclonorm.semilocal import (
     _poly_sub,
     _poly_trim,
     balanced_digit,
-    crt_from_factors,
+    count_primes_above,
     factor_phi,
     global_pth_root_embeddings,
     in_balanced_set,
     multiplicative_order,
+    poly_to_coords,
     prime_power_split,
-    project_to_factor,
-    pth_roots_in_factor,
-    root_of_unity_quotient,
+    root_slots,
     sl_embed,
     synthetic_root_of_unity,
     y_digits,
@@ -32,13 +34,13 @@ from cyclonorm.semilocal import (
 
 
 def test_factor_counts_examples():
-    assert factor_phi(11, 5, 2).g == 4        # 11 = 1 mod 5: linear factors
-    assert factor_phi(2, 5, 3).g == 1         # order of 2 mod 5 is 4: inert
-    assert factor_phi(19, 5, 2).g == 2        # order 2: quadratic factors
+    assert factor_phi(11, 5).g == 4        # 11 = 1 mod 5: linear factors
+    assert factor_phi(2, 5).g == 1         # order of 2 mod 5 is 4: inert
+    assert factor_phi(19, 5).g == 2        # order 2: quadratic factors
     with pytest.raises(ValueError):
-        factor_phi(5, 5, 2)
+        factor_phi(5, 5)
     with pytest.raises(ValueError):
-        factor_phi(10, 5, 2)
+        factor_phi(10, 5)
 
 
 def test_factor_counts_random_pairs():
@@ -50,7 +52,7 @@ def test_factor_counts_random_pairs():
         r = rng.choice(primes)
         if r == p:
             continue
-        fact = factor_phi(r, p, 2)
+        fact = factor_phi(r, p)
         d = multiplicative_order(r, p)
         assert fact.g == (p - 1) // d
         assert fact.residue_degree == d
@@ -149,36 +151,158 @@ def test_crt_consistency_composite_base():
             assert cr == c.reduce_to(mr)
 
 
+# -- the earlier route: Phi_p's factors Hensel-lifted to r^N, joined by a
+# polynomial CRT at each r | y and an integer CRT across them
+
+
+def reference_ext_gcd(a, b, r):
+    """(s, t) with s*a + t*b = 1 over F_r for coprime a, b."""
+    r0, r1 = _poly_red(a, r), _poly_red(b, r)
+    s0, s1 = [1], []
+    t0, t1 = [], [1]
+    while r1:
+        q, rem = _poly_divmod(r0, r1, r)
+        r0, r1 = r1, rem
+        s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1, r), r)
+        t0, t1 = t1, _poly_sub(t0, _poly_mul(q, t1, r), r)
+    assert len(r0) == 1
+    inv = pow(r0[0], -1, r)
+    return [x * inv % r for x in s0], [x * inv % r for x in t0]
+
+
+def reference_hensel_lift(f, g0, r, precision):
+    """Lift a monic factor g0 of monic f from mod r to mod r^precision."""
+    g_r = _poly_red(g0, r)
+    h_r, rem = _poly_divmod(_poly_red(f, r), g_r, r)
+    assert not rem
+    s, t = reference_ext_gcd(g_r, h_r, r)
+    g, h = list(g_r), list(h_r)
+    for k in range(1, precision):
+        m = r ** (k + 1)
+        e_full = _poly_sub(_poly_red(f, m), _poly_mul(g, h, m), m)
+        assert all(c % r ** k == 0 for c in e_full)
+        e = _poly_red([c // r ** k for c in e_full], r)
+        dg = _poly_mod(_poly_mul(t, e, r), g_r, r)
+        dh, rem2 = _poly_divmod(_poly_sub(e, _poly_mul(dg, h_r, r), r), g_r, r)
+        assert not rem2
+        g = _poly_add(g, [c * r ** k % m for c in dg], m)
+        h = _poly_add(h, [c * r ** k % m for c in dh], m)
+    return _poly_red(g, r ** precision)
+
+
+def reference_lifted_factors(r, p, precision):
+    phi, m = _cyclotomic_poly(p), r ** precision
+    lifted = [reference_hensel_lift(phi, list(g), r, precision) for g in factor_phi(r, p).factors]
+    prod = [1]
+    for g in lifted:
+        prod = _poly_mul(prod, g, m)
+    assert prod == _poly_red(phi, m)
+    return lifted
+
+
+def reference_lift_inverse(a, f, r, precision):
+    """Inverse of a modulo (r^precision, f), f monic, a a unit mod (r, f)."""
+    s, _ = reference_ext_gcd(_poly_mod(_poly_red(a, r), _poly_red(f, r), r), _poly_red(f, r), r)
+    k, inv = 1, s
+    while k < precision:
+        k = min(2 * k, precision)
+        m = r ** k
+        fm = _poly_red(f, m)
+        prod = _poly_mod(_poly_mul(_poly_mod(_poly_red(a, m), fm, m), inv, m), fm, m)
+        inv = _poly_mod(_poly_mul(inv, _poly_sub([2], prod, m), m), fm, m)
+    return inv
+
+
+def reference_project(u, f, m):
+    """Image of u in (Z/m)[X]/(f), m a power of r dividing u's modulus."""
+    u = u.reduce_to(m)
+    top = u.poly[-1]
+    return _poly_mod(_poly_trim([-top % m] + [(c - top) % m for c in u.poly[:-1]]), f, m)
+
+
+def reference_crt(residues, factors, r, precision, p):
+    m = r ** precision
+    total = []
+    for j, res in enumerate(residues):
+        others = [1]
+        for i, f in enumerate(factors):
+            if i != j:
+                others = _poly_mul(others, f, m)
+        inv = reference_lift_inverse(others, factors[j], r, precision)
+        term = _poly_mod(_poly_mul(res, inv, m), factors[j], m)
+        total = _poly_add(total, _poly_mul(term, others, m), m)
+    return poly_to_coords(_poly_mod(total, _cyclotomic_poly(p), m), p, m)
+
+
+def reference_int_crt(pairs):
+    x, m = 0, 1
+    for a, n in pairs:
+        x += m * ((a - x) * pow(m, -1, n) % n)
+        m *= n
+    return x % m
+
+
+def reference_synthetic_root_of_unity(p, y, precision, seed=0):
+    if math.gcd(p, y) != 1:
+        raise ValueError("digit base must be prime to p")
+    parts = [(r, a * precision) for r, a in prime_power_split(y)]
+    lifted = [reference_lifted_factors(r, p, n) for r, n in parts]
+    roots = []          # X^k mod (r^N, Psi), listed by its residue mod (r, Psi)
+    for (r, n), factors in zip(parts, lifted):
+        for f in factors:
+            ks = sorted(range(p), key=lambda k: _poly_powmod([0, 1], k, _poly_red(f, r), r))
+            roots.append([_poly_powmod([0, 1], k, f, r ** n) for k in ks])
+    modulus = y ** precision
+    globals_ = global_pth_root_embeddings(p, modulus)
+
+    def build(selection):
+        per_prime, slot = [], 0
+        for (r, n), factors in zip(parts, lifted):
+            residues = []
+            for _ in factors:
+                residues.append(roots[slot][selection % p])
+                selection //= p
+                slot += 1
+            per_prime.append(reference_crt(residues, factors, r, n, p))
+        return SemilocalElement(p, modulus, tuple(
+            reference_int_crt([(u.poly[i], u.modulus) for u in per_prime]) % modulus
+            for i in range(p - 1)))
+
+    limit = min(p ** len(roots), 5000)
+    offset = seed % limit
+    for step in range(limit):
+        rho = build((offset + step) % limit)
+        if not (rho ** p).is_one():
+            raise ArithmeticError("constructed element is not a p-th root of unity")
+        if all(rho != g for g in globals_):
+            return rho
+    raise ArithmeticError("all p-th roots of unity at this modulus are global embeddings")
+
+
 def test_factor_projection_crt_roundtrip():
+    # u splits into its slot components u E_j, which add back to u; each
+    # component is u in the completion of Psi_j and 0 in the others
     p, r, n = 5, 11, 3
-    fact = factor_phi(r, p, n)
     m = r ** n
+    slots = [e for e, _ in root_slots(p, r, n)]
+    lifted = reference_lifted_factors(r, p, n)
+    assert len(slots) == len(lifted) == factor_phi(r, p).g
     rng = random.Random(5)
     for _ in range(15):
         u = SemilocalElement(p, m, tuple(rng.randrange(m) for _ in range(p - 1)))
-        res = [project_to_factor(u, fact, j) for j in range(fact.g)]
-        assert crt_from_factors(res, fact) == u
+        total = SemilocalElement(p, m, (0,) * (p - 1))
+        for j, e in enumerate(slots):
+            total = total + u * e
+            for i, f in enumerate(lifted):
+                expected = reference_project(u, f, m) if i == j else []
+                assert reference_project(u * e, f, m) == expected
+        assert total == u
     # products respect the factorwise computation
     for _ in range(10):
         u = SemilocalElement(p, m, tuple(rng.randrange(m) for _ in range(p - 1)))
         v = SemilocalElement(p, m, tuple(rng.randrange(m) for _ in range(p - 1)))
-        prod = u * v
-        for j in range(fact.g):
-            pu = project_to_factor(u, fact, j)
-            pv = project_to_factor(v, fact, j)
-            direct = _poly_mod(_poly_mul(pu, pv, m), list(fact.factors[j]), m)
-            assert direct == project_to_factor(prod, fact, j)
-
-
-def test_root_quotient_examples():
-    p, y, n = 5, 11, 4
-    m = y ** n
-    v = sl_embed(p, 3, m)
-    assert root_of_unity_quotient(v, v).is_one()
-    z = sl_embed(p, CycloInt.zeta_power(p, 1), m)
-    assert root_of_unity_quotient(z * v, v) == z
-    with pytest.raises(ArithmeticError):
-        root_of_unity_quotient(sl_embed(p, 2, m), sl_embed(p, 3, m))
+        for e in slots:
+            assert (u * v) * e == (u * e) * (v * e)
 
 
 @pytest.mark.parametrize("p,y", [(5, 11), (5, 22), (7, 13), (3, 7), (5, 106)])
@@ -190,26 +314,73 @@ def test_synthetic_roots_nontrivial(p, y):
 
 def test_root_enumeration_count():
     # p = 3 splits at r = 7 into two linear factors: 3^2 local cube roots
-    fact = factor_phi(7, 3, 2)
-    assert fact.g == 2
-    roots = [pth_roots_in_factor(fact, j) for j in range(2)]
-    assert all(len(r) == 3 for r in roots)
+    p, m = 3, 7 ** 2
+    slots = root_slots(p, 7, 2)
+    assert len(slots) == 2
+    (e0, _), (e1, _) = slots
     seen = set()
-    for a in roots[0]:
-        for b in roots[1]:
-            u = crt_from_factors([a, b], fact)
-            assert (u ** 3).is_one()
+    for a in range(p):
+        for b in range(p):
+            u = (SemilocalElement(p, m, zeta_shift(p, e0.poly, a))
+                 + SemilocalElement(p, m, zeta_shift(p, e1.poly, b)))
+            assert (u ** p).is_one()
             seen.add(u.poly)
     assert len(seen) == 9
     # exactly 3 of the 9 are global embeddings
-    globals_ = {g.poly for g in global_pth_root_embeddings(3, 7 ** 2)}
+    globals_ = {g.poly for g in global_pth_root_embeddings(p, m)}
     assert len(globals_ & seen) == 3
 
 
-def reference_pth_roots_in_factor(fact, j):
-    """The earlier construction: random search mod r, then a Newton lift."""
-    r, p = fact.r, fact.p
-    f = list(fact.factors[j])
+@settings(max_examples=40, deadline=None)
+@given(p=st.sampled_from([3, 5, 7, 11, 13]), y=st.integers(2, 120),
+       precision=st.integers(1, 4), seed=st.integers(0, 2 ** 32))
+def test_slot_idempotents_split_rho(p, y, precision, seed):
+    assume(math.gcd(p, y) == 1)
+    m = y ** precision
+    slots = root_slots(p, y, precision)
+    assert len(slots) == count_primes_above(p, y)
+    total = SemilocalElement(p, m, (0,) * (p - 1))
+    for s, (e, ks) in enumerate(slots):
+        assert e * e == e
+        assert sorted(ks) == list(range(p))
+        assert all((e * f).is_zero() for t, (f, _) in enumerate(slots) if t != s)
+        total = total + e
+    assert total.is_one()
+    try:
+        rho = synthetic_root_of_unity(p, y, precision, seed=seed)
+    except ArithmeticError:
+        # y is a power of one inert prime: its p local roots are the global ones
+        assert len(slots) == 1
+        return
+    # rho E_s = zeta^{k_s} E_s for exactly one k_s, and these pieces make up rho
+    rebuilt = SemilocalElement(p, m, (0,) * (p - 1))
+    for e, _ in slots:
+        pieces = [SemilocalElement(p, m, zeta_shift(p, e.poly, k)) for k in range(p)]
+        assert pieces.count(rho * e) == 1
+        rebuilt = rebuilt + rho * e
+    assert rebuilt == rho
+
+
+def _outcome(build, *args, **kwargs):
+    try:
+        return build(*args, **kwargs).poly
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_root_matches_reference_route(p):
+    # the same rho byte for byte, and the same refusals, at every seed
+    for y in (7, 11, 12, 22, 25, 27, 33, 35, 38, 39, 106):
+        for precision in (1, 2, 5):
+            for seed in (0, 1, 30699422):
+                assert _outcome(synthetic_root_of_unity, p, y, precision, seed=seed) == \
+                    _outcome(reference_synthetic_root_of_unity, p, y, precision, seed=seed)
+
+
+def search_and_lift_pth_roots(f, r, p, precision, j):
+    """The p-th roots of unity in (Z/r^N)[X]/(f) by random search mod r,
+    then a Newton lift, listed in the order of their residues mod r."""
     d = len(f) - 1
     card = r ** d - 1
     assert card % p == 0
@@ -227,8 +398,7 @@ def reference_pth_roots_in_factor(fact, j):
         for _ in range(p - 1):
             roots_mod_r.add(tuple(cur))
             cur = _poly_mod(_poly_mul(cur, w, r), f1, r)
-    return [reference_newton_lift(list(w0), f, r, fact.precision, p)
-            for w0 in sorted(roots_mod_r)]
+    return [reference_newton_lift(list(w0), f, r, precision, p) for w0 in sorted(roots_mod_r)]
 
 
 def reference_newton_lift(w, f, r, precision, p):
@@ -239,24 +409,28 @@ def reference_newton_lift(w, f, r, precision, p):
         fm = _poly_red(f, m)
         val = _poly_sub(_poly_powmod(w, p, fm, m), [1], m)
         deriv = _poly_mod(_poly_mul([p % m], _poly_powmod(w, p - 1, fm, m), m), fm, m)
-        dinv = _lift_inverse_mod(deriv, f, r, k)
+        dinv = reference_lift_inverse(deriv, f, r, k)
         w = _poly_mod(_poly_sub(w, _poly_mul(val, dinv, m), m), fm, m)
     return _poly_red(w, r ** precision)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 def test_pth_roots_match_search_and_lift(p):
-    # same roots in the same order, so every seed selects the same rho
+    # zeta^k E_j, k in slot order, is the searched-and-lifted list in the
+    # completion of Psi_j and 0 in the others, so every seed selects the same rho
     for r in range(2, 60):
         if not is_prime(r) or r == p:
             continue
         for precision in (1, 2, 3, 5):
-            fact = factor_phi(r, p, precision)
-            for j in range(fact.g):
-                roots = pth_roots_in_factor(fact, j)
-                assert roots == reference_pth_roots_in_factor(fact, j)
-                m, f = fact.modulus, list(fact.factors[j])
-                assert all(_poly_powmod(w, p, f, m) == [1] for w in roots)
+            m = r ** precision
+            lifted = reference_lifted_factors(r, p, precision)
+            for j, (e, ks) in enumerate(root_slots(p, r, precision)):
+                roots = [SemilocalElement(p, m, zeta_shift(p, e.poly, k)) for k in ks]
+                assert [reference_project(w, lifted[j], m) for w in roots] == \
+                    search_and_lift_pth_roots(lifted[j], r, p, precision, j)
+                assert all(reference_project(w, f, m) == []
+                           for i, f in enumerate(lifted) if i != j for w in roots)
+                assert all(w ** p == e for w in roots)
 
 
 def test_balanced_digit_bounds():
