@@ -27,19 +27,28 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def prime_power_split(y: int) -> List[Tuple[int, int]]:
+    """[(r, a)] with y = prod r^a."""
+    parts = []
+    rest = y
+    f = 2
+    while f * f <= rest:
+        if rest % f == 0:
+            a = 0
+            while rest % f == 0:
+                rest //= f
+                a += 1
+            parts.append((f, a))
+        f += 1 if f == 2 else 2
+    if rest > 1:
+        parts.append((rest, 1))
+    return parts
+
+
 def primitive_root(p: int) -> int:
     """Smallest positive primitive root mod p."""
     order = p - 1
-    prime_factors = set()
-    m = order
-    f = 2
-    while f * f <= m:
-        while m % f == 0:
-            prime_factors.add(f)
-            m //= f
-        f += 1
-    if m > 1:
-        prime_factors.add(m)
+    prime_factors = [r for r, _ in prime_power_split(order)]
     for g in range(2, p):
         if all(pow(g, order // q, p) != 1 for q in prime_factors):
             return g

@@ -34,6 +34,7 @@ from .group_ring import (
     GroupRingElement,
     idempotent_mod_p,
     is_prime,
+    prime_power_split,
     subgroups,
     weights,
 )
@@ -479,16 +480,7 @@ def cmd_search(cfg: RunConfig) -> Report:
 
 
 def _euler_phi(n: int) -> int:
-    out, m, f = n, n, 2
-    while f * f <= m:
-        if m % f == 0:
-            while m % f == 0:
-                m //= f
-            out -= out // f
-        f += 1
-    if m > 1:
-        out -= out // m
-    return out
+    return math.prod(r ** (a - 1) * (r - 1) for r, a in prime_power_split(n))
 
 
 # ---------------------------------------------------------------------------------
@@ -601,7 +593,7 @@ def cmd_pipeline(cfg: RunConfig) -> Report:
     verdict = lattice.bound_clash(p, abs(y), z_scale, level=level_for_clash)
     scale_ok = lattice.displayed_chain_holds(p, abs(y))
     report.add("bound-clash", "upper-bound-against-vanishing-order",
-               True,
+               verdict.contradiction,
                {"p": p, "y": abs(y), "z_scale": z_scale, "level": level_for_clash},
                {"upper_dominates": verdict.upper_dominates,
                 "closing_chain_holds": scale_ok},

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import List, Sequence, Tuple, Union
 
 from .cyclotomic import CycloInt, basis_product, cofactor_product, galois_coords, power, zeta_shift
-from .group_ring import is_prime
+from .group_ring import is_prime, prime_power_split
 
 
 @dataclass(frozen=True)
@@ -351,24 +351,6 @@ def poly_to_coords(poly: Sequence[int], p: int, m: int) -> SemilocalElement:
 
 
 # -- roots of unity -----------------------------------------------------------------
-
-
-def prime_power_split(y: int) -> List[Tuple[int, int]]:
-    """[(r, a)] with y = prod r^a."""
-    parts = []
-    rest = y
-    f = 2
-    while f * f <= rest:
-        if rest % f == 0:
-            a = 0
-            while rest % f == 0:
-                rest //= f
-                a += 1
-            parts.append((f, a))
-        f += 1 if f == 2 else 2
-    if rest > 1:
-        parts.append((rest, 1))
-    return parts
 
 
 def count_primes_above(p: int, y: int) -> int:

@@ -4,8 +4,10 @@ For theta = sum n_c sigma_c^{-1} and a denominator prime q (q = p in the main
 case), the series (1 + zeta T)^{theta/q} has coefficients a_m with
 q^{E(m)} a_m integral, E(m) = m + v_q(m!).  Everything is computed through
 the factorial-normalized integral coefficients b_m = q^m m! a_m, which obey
-the convolution rule b_m(t1 + t2) = sum_k C(m,k) b_k(t1) b_{m-k}(t2); the
-full series divides out the conjugate factor exactly.
+the convolution rule b_m(t1 + t2) = sum_k C(m,k) b_k(t1) b_{m-k}(t2).  Each
+factor (1 + zeta^{1/c} T)^{n/q} has monomial b_j, so every convolution is a
+sum of rotations by powers of zeta.  The full series, with the conjugate
+factor divided out, is the plain series of (1 - conj) theta.
 
 Also here: semilocal evaluation with stability certificates, the double
 digit table feeding the perturbation algorithm, and the ramified-case
@@ -26,6 +28,7 @@ from .cyclotomic import (
     congruent_mod_rational,
     inverse_uniformizer_numerator,
     max_conjugate_abs,
+    zeta_shift,
 )
 from .group_ring import GroupRingElement, weights
 from .semilocal import (
@@ -55,57 +58,35 @@ def denominator_exponent(m: int, q: int) -> int:
 # -- normalized coefficient arithmetic -------------------------------------------------
 
 
-def _base_normalized(p: int, q: int, n: int, c: int, m_max: int) -> List[CycloInt]:
-    """b_m for the single factor (1 + zeta^{1/c} T)^{n/q}, m <= m_max.
-
-    b_m = [prod_{i<m} (n - i q)] * zeta^{m/c}; always integral.
-    """
-    c_inv = pow(c, p - 2, p)
-    out = [CycloInt.from_rational(p, 1)]
-    scalar = 1
-    for m in range(1, m_max + 1):
-        scalar *= n - (m - 1) * q
-        out.append(CycloInt.zeta_power(p, m * c_inv % p).scale(scalar))
-    return out
-
-
-def _convolve(a: Sequence[CycloInt], b: Sequence[CycloInt], m_max: int) -> List[CycloInt]:
-    p = a[0].p
-    out = []
-    for m in range(m_max + 1):
-        acc = CycloInt.zero(p)
-        for k in range(m + 1):
-            if k < len(a) and m - k < len(b):
-                term = a[k] * b[m - k]
-                acc = acc + term.scale(math.comb(m, k))
-        out.append(acc)
-    return out
-
-
-def _invert(b: Sequence[CycloInt], m_max: int) -> List[CycloInt]:
-    """Normalized coefficients of the reciprocal series (leading term 1)."""
-    p = b[0].p
-    if b[0] != CycloInt.from_rational(p, 1):
-        raise ValueError("reciprocal needs leading coefficient 1")
-    out = [CycloInt.from_rational(p, 1)]
-    for m in range(1, m_max + 1):
-        acc = CycloInt.zero(p)
-        for k in range(1, m + 1):
-            if k < len(b):
-                acc = acc + (b[k] * out[m - k]).scale(math.comb(m, k))
-        out.append(-acc)
-    return out
-
-
 def normalized_coeffs(theta: GroupRingElement, m_max: int, q: int) -> List[CycloInt]:
-    """b_m for (1 + zeta T)^{theta/q}, any integer coefficients on theta."""
+    """b_m for (1 + zeta T)^{theta/q}, any integer coefficients on theta.
+
+    The factor (1 + zeta^{1/c} T)^{n/q} has b_j = s_j zeta^{j/c} with
+    s_j = prod_{i<j} (n - i q), so the convolution with it is
+    b_m <- sum_k C(m,k) s_{m-k} zeta^{(m-k)/c} b_k: rotations of integer
+    coordinate tuples, with no product in Z[zeta].
+    """
     p = theta.p
-    out = [CycloInt.from_rational(p, 1)] + [CycloInt.zero(p)] * m_max
+    b = [(-1,) * (p - 1)] + [(0,) * (p - 1)] * m_max     # b_0 = 1 = -sum_c zeta^c
     for c in range(1, p):
         n = theta.coeff(c)
-        if n:
-            out = _convolve(out, _base_normalized(p, q, n, c, m_max), m_max)
-    return out
+        if not n:
+            continue
+        c_inv = pow(c, p - 2, p)
+        s = [1]
+        for i in range(m_max):
+            s.append(s[-1] * (n - i * q))
+        out = []
+        for m in range(m_max + 1):
+            acc = (0,) * (p - 1)
+            for k in range(m + 1):
+                scalar = math.comb(m, k) * s[m - k]
+                if scalar:
+                    rotated = zeta_shift(p, b[k], (m - k) * c_inv)
+                    acc = tuple(a + scalar * v for a, v in zip(acc, rotated))
+            out.append(acc)
+        b = out
+    return [CycloInt(p, coords) for coords in b]
 
 
 def _exact_divide_scalar(x: CycloInt, d: int) -> CycloInt:
@@ -155,17 +136,12 @@ def binom_coeffs(theta: GroupRingElement, order: int, full: bool = True,
     """Series table for theta up to T^order.
 
     full: coefficients of (1+zeta T)^{theta/q} * [(1+conj(zeta) T)^{theta/q}]^{-1},
-    built by exact reciprocal-and-multiply; plain: (1+zeta T)^{theta/q}.
+    which is the plain series of (1 - conj) theta; plain: (1+zeta T)^{theta/q}.
     The stored numerators are q^{E(m)} a_m, certified integral.
     """
     p = theta.p
     q = den_prime if den_prime is not None else p
-    b_theta = normalized_coeffs(theta, order, q)
-    if full:
-        b_conj = normalized_coeffs(theta.conjugate(), order, q)
-        b = _convolve(b_theta, _invert(b_conj, order), order)
-    else:
-        b = b_theta
+    b = normalized_coeffs(theta - theta.conjugate() if full else theta, order, q)
     nums = []
     for m, bm in enumerate(b):
         unit_part = math.factorial(m) // q ** factorial_valuation(m, q)

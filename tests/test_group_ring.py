@@ -1,9 +1,13 @@
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cyclonorm.group_ring import (
     GroupRingElement,
     idempotent_mod_p,
+    is_prime,
+    prime_power_split,
     primitive_root,
     subgroup_fix_test,
     subgroups,
@@ -100,6 +104,18 @@ def test_subgroups_enumeration():
     assert [o for o, _ in subs5] == [1, 2, 4]
     # order 2 subgroup of (Z/5)^x is generated by 4
     assert dict(subs5)[2] == 4
+
+
+def test_trial_division_factorization():
+    for n in range(1, 500):
+        parts = prime_power_split(n)
+        assert math.prod(r ** a for r, a in parts) == n
+        assert all(is_prime(r) and a >= 1 for r, a in parts)
+        assert [r for r, _ in parts] == sorted({r for r, _ in parts})
+    for p in (3, 5, 7, 11, 13, 17, 19, 23, 97, 101):
+        g = primitive_root(p)
+        assert len({pow(g, k, p) for k in range(p - 1)}) == p - 1
+        assert all(len({pow(h, k, p) for k in range(p - 1)}) < p - 1 for h in range(2, g))
 
 
 def test_subgroup_fix_examples():

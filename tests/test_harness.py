@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -44,6 +45,8 @@ REPORT_PINS = {
         "2b381af0a2ed5b0252d82df2da9c466778bbbcdc37172009a6f4e9c7cdb306e6",
     ("identities", 17, None, None):
         "01470874e0d1ddb0943469df2f79a1a574014ad347b150eef6b98535c6a56459",
+    ("identities", 23, None, None):
+        "b1786d1afbec3dc556f0c87f56fe38b3dbcc4447f67e26232f3e7fae0bffd5e0",
     ("pipeline", 5, 3, 22):
         "acfee4ea044d6c611ab93235f4ebc1874064e228b25a30cd0fde29a5782f8cf8",
     ("pipeline", 7, 3, 26):
@@ -56,6 +59,10 @@ REPORT_PINS = {
         "0dd09303f23f023853c151992f7e4ac5bf2293e7d27f02c37cdd774dd9779752",
     ("pipeline", 5, 2, 33):
         "c20b0b773f2590bf14eea93b2685b70185ed9d65fcef9db9d9107e07160a8b7e",
+    ("pipeline", 17, 2, 19):
+        "f13758d86a10ac399b04dfe570e8b57914a0120c60b2da3100993c207c903c99",
+    ("pipeline", 23, 2, 41):
+        "8d4b1a373993152c39760ffc775e677dd42f4a5fdefa0c468f6315b696ac2c11",
 }
 
 
@@ -85,6 +92,11 @@ def test_search_accounting():
     assert acc.status == "pass"
     trivial = next(r for r in rep.records if r.name == "trivial-instance-excluded")
     assert trivial.outputs["instance"] == [1, 1, 1, 0]
+
+
+def test_euler_phi_counts_coprime_residues():
+    for n in range(1, 200):
+        assert harness._euler_phi(n) == sum(math.gcd(n, k) == 1 for k in range(1, n + 1))
 
 
 def test_search_p5_no_hits_small():
@@ -167,6 +179,19 @@ def test_pipeline_p23_default_level():
     assert rep.ok
     names = {r.name: r.status for r in rep.records}
     assert names["digit-table"] == names["perturbation-pass"] == "pass"
+
+
+def test_bound_clash_record_reads_the_verdict(monkeypatch):
+    # with the closing chain forced to hold, the record is not waived, and
+    # at (5, 3, 22) the upper bound does not dominate: the record fails
+    monkeypatch.setattr(harness.lattice, "displayed_chain_holds", lambda p, y: True)
+    rep = cmd_pipeline(RunConfig("pipeline", p=5, x=3, y=22))
+    clash = next(r for r in rep.records if r.name == "bound-clash")
+    assert clash.outputs["upper_dominates"] is False
+    assert clash.status == "fail"
+    # in the paper's regime the verdict is a contradiction
+    for y in (87, 91, 101):
+        assert harness.lattice.bound_clash(43, y, max(2 * 43 + 1, y - 1), 4).contradiction
 
 
 def test_report_files_byte_stable(tmp_path):

@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cyclonorm.cyclotomic import CycloInt, inverse_uniformizer_numerator
 from cyclonorm.group_ring import GroupRingElement
@@ -26,6 +27,77 @@ from cyclonorm.stickelberger import (
     construct_weight2_annihilator,
     fueter,
 )
+
+
+# The earlier route to the tables: general Z[zeta] products against the
+# monomial factor series, and for the full table the reciprocal of the
+# conjugate table.  normalized_coeffs and binom_coeffs must agree with it.
+
+
+def reference_base_normalized(p, q, n, c, m_max):
+    c_inv = pow(c, p - 2, p)
+    out = [CycloInt.from_rational(p, 1)]
+    scalar = 1
+    for m in range(1, m_max + 1):
+        scalar *= n - (m - 1) * q
+        out.append(CycloInt.zeta_power(p, m * c_inv % p).scale(scalar))
+    return out
+
+
+def reference_convolve(a, b, m_max):
+    p = a[0].p
+    out = []
+    for m in range(m_max + 1):
+        acc = CycloInt.zero(p)
+        for k in range(m + 1):
+            acc = acc + (a[k] * b[m - k]).scale(math.comb(m, k))
+        out.append(acc)
+    return out
+
+
+def reference_invert(b, m_max):
+    p = b[0].p
+    out = [CycloInt.from_rational(p, 1)]
+    for m in range(1, m_max + 1):
+        acc = CycloInt.zero(p)
+        for k in range(1, m + 1):
+            acc = acc + (b[k] * out[m - k]).scale(math.comb(m, k))
+        out.append(-acc)
+    return out
+
+
+def reference_normalized_coeffs(theta, m_max, q):
+    p = theta.p
+    out = [CycloInt.from_rational(p, 1)] + [CycloInt.zero(p)] * m_max
+    for c in range(1, p):
+        n = theta.coeff(c)
+        if n:
+            out = reference_convolve(out, reference_base_normalized(p, q, n, c, m_max), m_max)
+    return out
+
+
+def reference_binom_numerators(theta, order, full, q):
+    b = reference_normalized_coeffs(theta, order, q)
+    if full:
+        b_conj = reference_normalized_coeffs(theta.conjugate(), order, q)
+        b = reference_convolve(b, reference_invert(b_conj, order), order)
+    return tuple(bm.scale(Fraction(q ** factorial_valuation(m, q), math.factorial(m)))
+                 for m, bm in enumerate(b))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_tables_equal_the_reciprocal_route(data):
+    p = data.draw(st.sampled_from([3, 5, 7, 11, 13]))
+    q = data.draw(st.sampled_from([p, 7 if p == 5 else 5]))
+    coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=p - 1, max_size=p - 1))
+    theta = GroupRingElement(p, tuple(coeffs))
+    order = data.draw(st.integers(0, 10))
+    full = data.draw(st.booleans())
+    tab = binom_coeffs(theta, order, full=full, den_prime=q)
+    assert tab.numerators == reference_binom_numerators(theta, order, full, q)
+    for bm in normalized_coeffs(theta, order, q) + list(tab.numerators):
+        assert set(map(type, bm.coords)) == {int}
 
 
 def annihilator_element(p):
@@ -79,11 +151,11 @@ def test_integrality_to_order_12(p):
 @pytest.mark.parametrize("p", [5, 7])
 def test_reciprocal_route_equals_signed_convolution(p):
     theta = fueter(StickelbergerContext(p), 1).scale(2)
-    tab = binom_coeffs(theta, 8, full=True)
-    direct = normalized_coeffs(theta - theta.conjugate(), 8, p)
-    for m in range(9):
-        unit = math.factorial(m) // p ** factorial_valuation(m, p)
-        assert tab.numerators[m].scale(unit) == direct[m]
+    via_reciprocal = reference_convolve(
+        reference_normalized_coeffs(theta, 8, p),
+        reference_invert(reference_normalized_coeffs(theta.conjugate(), 8, p), 8), 8)
+    direct = reference_normalized_coeffs(theta - theta.conjugate(), 8, p)
+    assert via_reciprocal == direct
 
 
 @pytest.mark.parametrize("p", [5, 7])
