@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
 """Run the exact identity suite over the default primes and store reports.
 
-Prints one line per prime with its record counts and wall time; p = 101
-takes a few minutes.
+Prints one line per prime with its record counts, wall time and the
+SHA-256 of the report JSON (the bytes written to identities_p<p>.json);
+p = 101 takes about a minute.
 
 Usage: python scripts/run_identity_suite.py [outdir]
 """
 
+import hashlib
 import pathlib
 import sys
 import time
@@ -27,8 +29,9 @@ def main() -> int:
         base = outdir / f"identities_p{p}"
         write_report(report, str(base))
         c = report.counts
+        digest = hashlib.sha256(report.to_json().encode("ascii")).hexdigest()
         print(f"p = {p:3d}: pass={c['pass']:3d} fail={c['fail']} waived={c['waived']}"
-              f"  {seconds:7.2f} s  -> {base}.json", flush=True)
+              f"  {seconds:7.2f} s  sha256={digest}  -> {base}.json", flush=True)
         worst = max(worst, c["fail"])
     return 1 if worst else 0
 

@@ -3,7 +3,7 @@
 Every command produces a Report: a list of per-check records with exact
 inputs/outputs and a pass/fail/waived status.  Reports serialize to a stable
 JSON tree plus a flat TSV summary; with a fixed seed the bytes are identical
-across runs (timings are kept out of the stable body).
+across runs (the body holds no timings).
 """
 
 from __future__ import annotations

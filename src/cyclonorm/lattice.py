@@ -367,6 +367,7 @@ def inhomogeneous_select(mtable: ModifiedTable, level: Optional[int] = None,
             return (k, w_coords, w_cand, pairing)
         return None
 
+    radii = [box_radius]
     best = scan(box_radius)
     if best is None:
         # The sqrt(y) box is guaranteed only beyond the theorem's size range;
@@ -381,6 +382,7 @@ def inhomogeneous_select(mtable: ModifiedTable, level: Optional[int] = None,
                 continue
             bv_radius = max(bv_radius, box.sup_bound_int())
         if bv_radius > box_radius:
+            radii.append(bv_radius)
             best = scan(bv_radius)
             if best is not None:
                 waivers.append(
@@ -394,9 +396,10 @@ def inhomogeneous_select(mtable: ModifiedTable, level: Optional[int] = None,
             "the box was not searched in full")
     if best is None:
         raise SolverIncomplete(
-            "every twist leaves the box orthogonal to the pivot; by the "
-            "dimension count this forces the zero vector, a contradiction"
-        )
+            f"for each twist and each radius tried ({', '.join(map(str, radii))}), "
+            "the box holds no kernel vector or its (sup-norm, coordinates)-least "
+            "kernel vector pairs to 0 with the pivot; no other vector of the box "
+            "was tried")
     k, w_coords, w, pivot_pairing = best
 
     hom_ok = all((w * mtable.entries[pair]).trace() == 0 for pair in hom_pairs)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 
 def iroot(n: int, k: int) -> int:
@@ -126,86 +126,61 @@ def _ext_gcd(a: int, b: int) -> Tuple[int, int, int]:
     return old_r, old_u, old_v
 
 
-def hermite_normal_form(rows: Sequence[Sequence[int]], ncols: Optional[int] = None,
-                        det_multiple: Optional[int] = None) -> List[List[int]]:
-    """Row-style HNF of the lattice spanned by integer rows.
+def hermite_normal_form(rows: Sequence[Sequence[int]], ncols: int,
+                        det_multiple: int) -> List[List[int]]:
+    """Row-style HNF of the lattice spanned by integer rows and D*Z^ncols.
 
-    Streaming insertion: each row is reduced against the current pivot rows,
-    combining through extended gcd (a unimodular 2x2 step).  Pivots end up
-    positive with the entries above them reduced into [0, pivot).
-
-    det_multiple: a positive integer D with D*Z^ncols contained in the
-    lattice (e.g. the norm of an ideal).  Entries are then kept reduced
-    mod D, which prevents coefficient blowup on large inputs.
+    D = det_multiple must be a positive integer with D*Z^ncols contained in
+    the lattice (e.g. the norm of an ideal).  The basis starts as D*e_0, ...,
+    D*e_(ncols-1), so the lattice has full rank and row i holds the pivot of
+    column i.  Each row is inserted by reducing it against the pivot rows,
+    combining through extended gcd (a unimodular 2x2 step).  Every entry off
+    the diagonal is kept mod D (Domich-Kannan-Trotter; Cohen, Alg. 2.4.8):
+    D*Z^ncols lies in the lattice, so every pivot divides D and the final
+    reduction of the entries above a pivot into [0, pivot) is unchanged.
     """
-    if ncols is None:
-        ncols = len(rows[0])
-    pivots: Dict[int, List[int]] = {}
-    if det_multiple is not None:
-        if det_multiple <= 0:
-            raise ValueError("det_multiple must be positive")
-        for j in range(ncols):
-            pivots[j] = [det_multiple if i == j else 0 for i in range(ncols)]
-
-    def clip(vec: List[int]) -> List[int]:
-        if det_multiple is None:
-            return vec
-        return [x % det_multiple for x in vec]
-
+    if det_multiple <= 0:
+        raise ValueError("det_multiple must be positive")
+    mod = det_multiple
+    basis = [[mod if i == j else 0 for j in range(ncols)] for i in range(ncols)]
     for r in rows:
-        row = clip(list(r))
-        col = 0
-        while col < ncols:
-            if row[col] == 0:
-                col += 1
+        row = [x % mod for x in r]
+        for col in range(ncols):
+            b = row[col]
+            if b == 0:
                 continue
-            piv = pivots.get(col)
-            if piv is None:
-                if row[col] < 0:
-                    row = [-x for x in row]
-                pivots[col] = row
-                break
-            a, b = piv[col], row[col]
+            piv = basis[col]
+            a = piv[col]
             if b % a == 0:
                 q = b // a
-                row = clip([x - q * y for x, y in zip(row, piv)])
+                row[col:] = [(x - q * y) % mod for x, y in zip(row[col:], piv[col:])]
             else:
                 g, u, v = _ext_gcd(a, b)
                 qa, qb = a // g, b // g
-                new_piv = [u * x + v * y for x, y in zip(piv, row)]
-                new_piv[col] = g
-                pivots[col] = [g if j == col else new_piv[j] % det_multiple
-                               if det_multiple is not None else new_piv[j]
-                               for j in range(ncols)]
-                row = clip([qa * y - qb * x for x, y in zip(piv, row)])
-            col += 1
-    basis = [pivots[c] for c in sorted(pivots)]
+                basis[col] = piv[:col] + [g] + [(u * x + v * y) % mod for x, y in
+                                                zip(piv[col + 1:], row[col + 1:])]
+                row[col:] = [(qa * y - qb * x) % mod for x, y in zip(piv[col:], row[col:])]
     # Reduce entries above pivots: for each row, sweep the pivot rows below
     # it in increasing order, so re-polluted later columns get fixed by the
     # subsequent sweeps.
-    pivot_cols = [next(j for j, x in enumerate(row) if x != 0) for row in basis]
-    for k in range(len(basis)):
-        for i in range(k + 1, len(basis)):
-            piv = basis[i][pivot_cols[i]]
-            q = basis[k][pivot_cols[i]] // piv
+    for k, top in enumerate(basis):
+        for i in range(k + 1, ncols):
+            q = top[i] // basis[i][i]
             if q:
-                basis[k] = [a - q * b for a, b in zip(basis[k], basis[i])]
+                top[i:] = [(a - q * b) % mod for a, b in zip(top[i:], basis[i][i:])]
     return basis
 
 
 def hnf_contains(hnf: Sequence[Sequence[int]], vec: Sequence[int]) -> bool:
-    """Whether an integer vector lies in the lattice spanned by HNF rows."""
+    """Whether an integer vector lies in the lattice of a full-rank HNF (pivot i in column i)."""
     v = list(vec)
-    for row in hnf:
-        piv_col = next((j for j, x in enumerate(row) if x != 0), None)
-        if piv_col is None:
-            continue
-        if v[piv_col] % row[piv_col] != 0:
+    for i, row in enumerate(hnf):
+        q, rem = divmod(v[i], row[i])
+        if rem:
             return False
-        q = v[piv_col] // row[piv_col]
         if q:
-            v = [a - q * b for a, b in zip(v, row)]
-    return not any(v)
+            v[i:] = [a - q * b for a, b in zip(v[i:], row[i:])]
+    return True
 
 
 def integer_kernel(a: Sequence[Sequence[int]], ncols: int) -> List[List[int]]:

@@ -47,10 +47,13 @@ REPORT_PINS = {
         "01470874e0d1ddb0943469df2f79a1a574014ad347b150eef6b98535c6a56459",
     ("identities", 23, None, None):
         "b1786d1afbec3dc556f0c87f56fe38b3dbcc4447f67e26232f3e7fae0bffd5e0",
+    ("identities", 37, None, None):
+        "51c006bc1cb9b5e8e8d1e7ba694df33e1a5e4135082c6e7342d7ecb46b668f3e",
     ("pipeline", 5, 3, 22):
         "acfee4ea044d6c611ab93235f4ebc1874064e228b25a30cd0fde29a5782f8cf8",
+    # twist-selection fails here: each twist's least kernel vector pairs to 0
     ("pipeline", 7, 3, 26):
-        "2b515351bdfc90341bfb833f4ecc0d079be3c18f31658fab90d9003338ec97b4",
+        "5f4220ab2ac0fb4d2983c24101db7298bd560b4567af828c5ff85a3cb8e4a754",
     # the digit bases below: 5^2 over degree-5 factors, 3^3 over degree-3
     # factors, and 3 inert times 11 split
     ("pipeline", 11, 2, 25):

@@ -4,6 +4,7 @@ import pytest
 
 from cyclonorm import lattice, linalg
 from cyclonorm.cyclotomic import CycloInt
+from cyclonorm.harness import RunConfig, cmd_pipeline
 from cyclonorm.lattice import (
     ENUMERATION_LIMIT,
     SolverIncomplete,
@@ -306,6 +307,16 @@ def test_twist_selection_reports_the_enumeration_limit(monkeypatch):
         inhomogeneous_select(mt)
     assert "enumeration limit (0 vectors)" in str(info.value)
     assert "contradiction" not in str(info.value)
+
+
+def test_twist_selection_failure_claims_no_contradiction():
+    # at this seed every twist's least kernel vector pairs to 0 with the
+    # pivot; other vectors of the box are not tried, so nothing is proved
+    rep = cmd_pipeline(RunConfig("pipeline", p=7, x=9, y=38, seed=30699422))
+    rec = next(r for r in rep.records if r.name == "twist-selection")
+    assert rec.status == "fail"
+    assert "pairs to 0 with the pivot" in rec.outputs["error"]
+    assert "contradiction" not in rec.outputs["error"]
 
 
 # -- inequality evaluators -------------------------------------------------------------

@@ -2,11 +2,14 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from typing import Dict, List, Optional, Sequence
 
 import pytest
 from hypothesis import given, strategies as st
 
 from cyclonorm import linalg
+from cyclonorm.cyclotomic import CycloInt, zeta_shift
+from cyclonorm.linalg import _ext_gcd
 
 
 def test_iroot_exact():
@@ -40,16 +43,84 @@ def _randmix(rows, rng, steps=20):
     return out
 
 
+def reference_hermite_normal_form(rows: Sequence[Sequence[int]], ncols: Optional[int] = None,
+                                  det_multiple: Optional[int] = None) -> List[List[int]]:
+    """Row-style HNF of the lattice spanned by integer rows.
+
+    Streaming insertion: each row is reduced against the current pivot rows,
+    combining through extended gcd (a unimodular 2x2 step).  Pivots end up
+    positive with the entries above them reduced into [0, pivot).
+
+    det_multiple: a positive integer D with D*Z^ncols contained in the
+    lattice (e.g. the norm of an ideal).  Entries are then kept reduced
+    mod D, which prevents coefficient blowup on large inputs.
+    """
+    if ncols is None:
+        ncols = len(rows[0])
+    pivots: Dict[int, List[int]] = {}
+    if det_multiple is not None:
+        if det_multiple <= 0:
+            raise ValueError("det_multiple must be positive")
+        for j in range(ncols):
+            pivots[j] = [det_multiple if i == j else 0 for i in range(ncols)]
+
+    def clip(vec: List[int]) -> List[int]:
+        if det_multiple is None:
+            return vec
+        return [x % det_multiple for x in vec]
+
+    for r in rows:
+        row = clip(list(r))
+        col = 0
+        while col < ncols:
+            if row[col] == 0:
+                col += 1
+                continue
+            piv = pivots.get(col)
+            if piv is None:
+                if row[col] < 0:
+                    row = [-x for x in row]
+                pivots[col] = row
+                break
+            a, b = piv[col], row[col]
+            if b % a == 0:
+                q = b // a
+                row = clip([x - q * y for x, y in zip(row, piv)])
+            else:
+                g, u, v = _ext_gcd(a, b)
+                qa, qb = a // g, b // g
+                new_piv = [u * x + v * y for x, y in zip(piv, row)]
+                new_piv[col] = g
+                pivots[col] = [g if j == col else new_piv[j] % det_multiple
+                               if det_multiple is not None else new_piv[j]
+                               for j in range(ncols)]
+                row = clip([qa * y - qb * x for x, y in zip(piv, row)])
+            col += 1
+    basis = [pivots[c] for c in sorted(pivots)]
+    # Reduce entries above pivots: for each row, sweep the pivot rows below
+    # it in increasing order, so re-polluted later columns get fixed by the
+    # subsequent sweeps.
+    pivot_cols = [next(j for j, x in enumerate(row) if x != 0) for row in basis]
+    for k in range(len(basis)):
+        for i in range(k + 1, len(basis)):
+            piv = basis[i][pivot_cols[i]]
+            q = basis[k][pivot_cols[i]] // piv
+            if q:
+                basis[k] = [a - q * b for a, b in zip(basis[k], basis[i])]
+    return basis
+
+
 def test_hnf_canonical_under_unimodular_changes():
     rng = random.Random(11)
     for _ in range(25):
         n = rng.randrange(2, 6)
         mat = [[rng.randrange(-9, 10) for _ in range(n)] for _ in range(n)]
-        if linalg.bareiss_det(mat) == 0:
+        det = abs(linalg.bareiss_det(mat))
+        if det == 0:
             continue
-        h = linalg.hermite_normal_form(mat, n)
+        h = linalg.hermite_normal_form(mat, n, det)
         for _ in range(4):
-            assert linalg.hermite_normal_form(_randmix(mat, rng), n) == h
+            assert linalg.hermite_normal_form(_randmix(mat, rng), n, det) == h
 
 
 def test_hnf_det_multiple_matches_plain():
@@ -60,15 +131,58 @@ def test_hnf_det_multiple_matches_plain():
         d = linalg.bareiss_det(mat)
         if d == 0:
             continue
-        plain = linalg.hermite_normal_form(mat, n)
+        plain = reference_hermite_normal_form(mat, n)
         seeded = linalg.hermite_normal_form(mat, n, det_multiple=abs(d))
         assert plain == seeded
 
 
 def test_hnf_membership():
-    h = linalg.hermite_normal_form([[2, 0, 1], [0, 3, 1], [0, 0, 5]], 3)
+    h = linalg.hermite_normal_form([[2, 0, 1], [0, 3, 1], [0, 0, 5]], 3, 30)
     assert linalg.hnf_contains(h, [2, 3, 2])
     assert not linalg.hnf_contains(h, [1, 0, 0])
+
+
+def _check_modular_hnf(rows, ncols, det_multiple, rng):
+    """The modular HNF equals the reference one, and hnf_contains on it
+    agrees with the reference: v is in the lattice exactly when adding it
+    leaves the reference HNF unchanged."""
+    expected = reference_hermite_normal_form(rows, ncols)
+    h = linalg.hermite_normal_form(rows, ncols, det_multiple)
+    assert h == expected
+    for _ in range(4):
+        inside = [sum(rng.randrange(-3, 4) * r[j] for r in rows) for j in range(ncols)]
+        # a lattice vector, the same one moved by a unit vector, and a random one
+        for v in (inside, [x + (j == 0) for j, x in enumerate(inside)],
+                  [rng.randrange(-9, 10) for _ in range(ncols)]):
+            member = reference_hermite_normal_form(rows + [v], ncols) == expected
+            assert linalg.hnf_contains(h, v) == member
+
+
+def test_modular_hnf_matches_reference():
+    rng = random.Random(23)
+    checked = 0
+    while checked < 120:
+        # full-rank n x n and (n + extra) x n matrices, D = k |det| of the
+        # first n rows, so D Z^n lies in the lattice
+        n = rng.randrange(1, 8)
+        amp = rng.choice([1, 3, 9])
+        rows = [[rng.randrange(-amp, amp + 1) for _ in range(n)]
+                for _ in range(n + rng.randrange(3))]
+        det = abs(linalg.bareiss_det(rows[:n]))
+        if det == 0:
+            continue
+        _check_modular_hnf(rows, n, rng.randrange(1, 6) * det, rng)
+        checked += 1
+    checked = 0
+    while checked < 30:
+        # the ideal shape: the p - 1 zeta-shifts of a nonzero element, D its norm
+        p = rng.choice([3, 5, 7, 11, 13])
+        x = CycloInt(p, tuple(rng.randrange(-3, 4) for _ in range(p - 1)))
+        if x.is_zero():
+            continue
+        rows = [list(zeta_shift(p, x.coords, k)) for k in range(p - 1)]
+        _check_modular_hnf(rows, p - 1, abs(int(x.norm())), rng)
+        checked += 1
 
 
 def test_integer_kernel_saturated():
@@ -92,8 +206,8 @@ def test_lll_preserves_lattice_and_shortens():
     if linalg.rank_rational(basis) < 4:
         return
     red = linalg.lll_reduce(basis)
-    h1 = linalg.hermite_normal_form(basis, 5)
-    h2 = linalg.hermite_normal_form(red, 5)
+    h1 = reference_hermite_normal_form(basis, 5)
+    h2 = reference_hermite_normal_form(red, 5)
     assert h1 == h2
     norm = lambda v: sum(x * x for x in v)
     assert min(norm(v) for v in red) <= min(norm(v) for v in basis)
