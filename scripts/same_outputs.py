@@ -1,0 +1,109 @@
+#!/usr/bin/env python3
+"""Check that two source trees give the same outputs on every benchmark op.
+
+For each tree, one subprocess runs every op that `perfbench/workloads.build`
+makes for the three workloads and the given seeds (default 1 and 2) through
+`cyclonorm.cli.main`, in one process as the benchmark does.  Both trees run
+in the same work directory, because a report records its `--out` path.  Each
+op is summed up by the SHA-256 of its output files, stdout and stderr, and
+its exit code or exception.  Every op whose summary differs is printed, and
+the exit code is 1 if any does.
+
+Usage: python scripts/same_outputs.py OLD_SRC NEW_SRC [seeds...]
+
+OLD_SRC and NEW_SRC are directories that hold the `cyclonorm` package, such
+as the `src/` of two checkouts.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import pathlib
+import shutil
+import subprocess
+import sys
+import tempfile
+from collections import Counter
+
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def digest(data) -> str:
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_ops(src: str, workdir: str, seeds) -> None:
+    """Child side: print one JSON line per op with the digests of its outcome."""
+    sys.path[:0] = [src, str(PERFBENCH)]
+    from cyclonorm import cli
+    import workloads
+
+    for workload in workloads.WORKLOADS:
+        for seed in seeds:
+            opdir = pathlib.Path(workdir) / f"{workload}_{seed}"
+            opdir.mkdir()
+            for i, op in enumerate(workloads.build(workload, seed, str(opdir))):
+                out, err = io.StringIO(), io.StringIO()
+                raised = None
+                try:
+                    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                        code = cli.main(op.argv)
+                except SystemExit as exc:
+                    code = exc.code
+                except Exception as exc:  # a crash is an outcome to compare
+                    code, raised = None, f"{type(exc).__name__}: {exc}"
+                files = {}
+                for path in op.outputs:
+                    p = pathlib.Path(path)
+                    files[p.name] = digest(p.read_bytes()) if p.exists() else None
+                print(json.dumps({
+                    "op": f"{workload} seed={seed} #{i:02d} {op.label}",
+                    "code": code, "raised": raised,
+                    "stdout": digest(out.getvalue()), "stderr": digest(err.getvalue()),
+                    "files": files,
+                }), flush=True)
+
+
+def outcomes(src: str, workdir: str, seeds) -> dict:
+    shutil.rmtree(workdir, ignore_errors=True)
+    pathlib.Path(workdir).mkdir()
+    proc = subprocess.run(
+        [sys.executable, __file__, "--child", src, workdir] + [str(s) for s in seeds],
+        stdout=subprocess.PIPE, text=True, check=True)
+    rows = [json.loads(line) for line in proc.stdout.splitlines()]
+    return {row.pop("op"): row for row in rows}
+
+
+def main(argv) -> int:
+    if argv[:1] == ["--child"]:
+        run_ops(argv[1], argv[2], [int(s) for s in argv[3:]])
+        return 0
+    if len(argv) < 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    old_src, new_src = (str(pathlib.Path(a).resolve()) for a in argv[:2])
+    seeds = [int(s) for s in argv[2:]] or [1, 2]
+    base = tempfile.mkdtemp(prefix="same_outputs_")
+    try:
+        workdir = str(pathlib.Path(base) / "work")
+        old = outcomes(old_src, workdir, seeds)
+        new = outcomes(new_src, workdir, seeds)
+    finally:
+        shutil.rmtree(base, ignore_errors=True)
+    differ = 0
+    for op in sorted(old.keys() | new.keys()):
+        a, b = old.get(op), new.get(op)
+        if a != b:
+            differ += 1
+            parts = sorted(k for k in (a or b) if (a or {}).get(k) != (b or {}).get(k))
+            print(f"DIFFERS {op}: {', '.join(parts)}")
+    summary = ", ".join(f"{n} {w}" for w, n in Counter(op.split()[0] for op in old).items())
+    print(f"{differ} of {len(old.keys() | new.keys())} ops differ ({summary} ops per tree)")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

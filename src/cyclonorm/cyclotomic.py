@@ -495,8 +495,13 @@ def embedding_abs(x: CycloInt, c: int = 1) -> Tuple[mpmath.mpf, mpmath.mpf]:
 
 
 def max_conjugate_abs(x: CycloInt) -> Tuple[mpmath.mpf, mpmath.mpf]:
+    """max_c |sigma_c(x)| with its certified error bound.
+
+    x has rational coordinates, so sigma_{p-c}(x) is the complex conjugate of
+    sigma_c(x) and c = 1..(p-1)/2 covers every absolute value.
+    """
     best = (mpmath.mpf(0), mpmath.mpf(0))
-    for c in range(1, x.p):
+    for c in range(1, (x.p + 1) // 2):
         v, e = embedding_abs(x, c)
         if v > best[0]:
             best = (v, e)

@@ -294,8 +294,7 @@ class TwistSelection:
     waivers: Tuple[str, ...]
 
 
-def inhomogeneous_select(mtable: ModifiedTable, level: Optional[int] = None,
-                         radius: Optional[int] = None) -> TwistSelection:
+def inhomogeneous_select(mtable: ModifiedTable, level: Optional[int] = None) -> TwistSelection:
     """A short trace-zero vector orthogonal to every table entry except a
     twisted pivot, with a nonzero pivot pairing.
 
@@ -344,16 +343,18 @@ def inhomogeneous_select(mtable: ModifiedTable, level: Optional[int] = None,
     if use_ones:
         base_rows.append([1] * (p - 1))
 
-    box_radius = linalg.iroot(y, 2) if radius is None else radius
+    box_radius = linalg.iroot(y, 2)
     pivot = mtable.entries[pivot_pair]
     pivot_row = trace_row(pivot)
+    twisted = []             # (k, condition rows with the pivot twisted by zeta^k)
+    for k in range(1, p):
+        zeta_row = trace_row(CycloInt.zeta_power(p, k))
+        twisted.append((k, base_rows + [[a + b for a, b in zip(pivot_row, zeta_row)]]))
 
     limited = set()          # twists whose search stopped at ENUMERATION_LIMIT
 
     def scan(radius_limit: int) -> Optional[Tuple]:
-        for k in range(1, p):
-            zeta_row = trace_row(CycloInt.zeta_power(p, k))
-            rows = base_rows + [[a + b for a, b in zip(pivot_row, zeta_row)]]
+        for k, rows in twisted:
             try:
                 w_coords = siegel_solve(rows, p - 1, radius_limit)
             except SolverIncomplete as exc:
@@ -373,9 +374,7 @@ def inhomogeneous_select(mtable: ModifiedTable, level: Optional[int] = None,
         # The sqrt(y) box is guaranteed only beyond the theorem's size range;
         # fall back to the box-lemma bound of the condition rows.
         bv_radius = box_radius
-        for k in range(1, p):
-            zeta_row = trace_row(CycloInt.zeta_power(p, k))
-            rows = base_rows + [[a + b for a, b in zip(pivot_row, zeta_row)]]
+        for _, rows in twisted:
             try:
                 box, _ = hadamard_bv(rows, p - 1)
             except ValueError:        # dependent rows: this twist has no box bound

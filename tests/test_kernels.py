@@ -4,7 +4,8 @@ CycloInt and SemilocalElement both multiply, conjugate and invert through
 the module-level kernels of `cyclotomic`.  The references below are the
 earlier per-class loops: the CycloInt product, the semilocal product that
 reduces mod m at every step, and the Galois permutation; and the earlier
-archimedean evaluation, which raised e^{2 pi i c/p} to each power in turn.
+archimedean evaluation, which raised e^{2 pi i c/p} to each power in turn,
+and the maximum over all p - 1 conjugates.
 """
 
 from fractions import Fraction
@@ -13,7 +14,14 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cyclonorm.cyclotomic import CycloInt, basis_product, embedding_abs, galois_coords, zeta_shift
+from cyclonorm.cyclotomic import (
+    CycloInt,
+    basis_product,
+    embedding_abs,
+    galois_coords,
+    max_conjugate_abs,
+    zeta_shift,
+)
 from cyclonorm.group_ring import GroupRingElement
 from cyclonorm.semilocal import SemilocalElement, sl_embed
 
@@ -210,3 +218,22 @@ def test_embedding_abs_matches_power_evaluation(p, data):
     size = max(abs(Fraction(v).numerator) + Fraction(v).denominator for v in x.coords)
     reference = reference_embedding_abs(x, c, 2 * (40 + len(str(size))))
     assert abs(value - reference) <= err
+
+
+def reference_max_conjugate_abs(x):
+    best = (mpmath.mpf(0), mpmath.mpf(0))
+    for c in range(1, x.p):
+        v, e = embedding_abs(x, c)
+        if v > best[0]:
+            best = (v, e)
+    return best
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_max_conjugate_abs_half_scan_matches_full_scan(p, data):
+    x = data.draw(cyclo(p, data.draw(st.booleans(), label="rational")))
+    value, err = max_conjugate_abs(x)
+    full_value, full_err = reference_max_conjugate_abs(x)
+    assert abs(value - full_value) <= err + full_err

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -168,6 +169,106 @@ def test_formal_power_identity(p):
     # trivial order-zero case
     tab = binom_coeffs(fueter(ctx, 1), 0, full=True)
     assert pth_power_check(tab, 0).ok
+
+
+# The earlier route to the power check: the finite product as a series, with
+# each factor power taken by square-and-multiply and the conjugate side
+# inverted as a series.  pth_power_check must give the same verdict.
+
+
+def reference_ps_mul(a, b, order):
+    p = a[0].p
+    out = []
+    for m in range(order + 1):
+        acc = CycloInt.zero(p)
+        for k in range(m + 1):
+            if k < len(a) and m - k < len(b):
+                acc = acc + a[k] * b[m - k]
+        out.append(acc)
+    return out
+
+
+def reference_ps_pow(a, e, order):
+    p = a[0].p
+    result = [CycloInt.from_rational(p, 1)] + [CycloInt.zero(p)] * order
+    base = list(a)
+    while e:
+        if e & 1:
+            result = reference_ps_mul(result, base, order)
+        base = reference_ps_mul(base, base, order)
+        e >>= 1
+    return result
+
+
+def reference_ps_inv(a, order):
+    p = a[0].p
+    one = CycloInt.from_rational(p, 1)
+    assert a[0] == one
+    out = [one]
+    for m in range(1, order + 1):
+        acc = CycloInt.zero(p)
+        for k in range(1, m + 1):
+            if k < len(a):
+                acc = acc + a[k] * out[m - k]
+        out.append(-acc)
+    return out
+
+
+def reference_linear_factor_power(p, theta, conj, order):
+    series = [CycloInt.from_rational(p, 1)] + [CycloInt.zero(p)] * order
+    for c in range(1, p):
+        n = theta.coeff(c)
+        if n == 0:
+            continue
+        e = pow(c, p - 2, p)
+        if conj:
+            e = (p - 1) * e % p
+        factor = [CycloInt.from_rational(p, 1), CycloInt.zeta_power(p, e)]
+        factor += [CycloInt.zero(p)] * (order - 1)
+        if n > 0:
+            series = reference_ps_mul(series, reference_ps_pow(factor, n, order), order)
+        else:
+            series = reference_ps_mul(
+                series, reference_ps_inv(reference_ps_pow(factor, -n, order), order), order)
+    return series
+
+
+def reference_pth_power_check(table, order):
+    p = table.p
+    partial = [table.coefficient(m) for m in range(order + 1)]
+    lhs = reference_ps_pow(partial, table.q, order)
+    rhs = reference_ps_mul(
+        reference_linear_factor_power(p, table.theta, False, order),
+        reference_ps_inv(reference_linear_factor_power(p, table.theta, True, order), order),
+        order,
+    )
+    for m in range(order + 1):
+        if lhs[m] != rhs[m]:
+            return False, m
+    return True, None
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_power_check_matches_the_reciprocal_route(data):
+    p = data.draw(st.sampled_from([3, 5, 7, 11]))
+    q = data.draw(st.sampled_from([p, 7 if p == 5 else 5]))
+    coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=p - 1, max_size=p - 1))
+    theta = GroupRingElement(p, tuple(coeffs))
+    order = data.draw(st.integers(0, 6))
+    tab = binom_coeffs(theta, order, full=True, den_prime=q)
+    corrupt = data.draw(st.integers(0, order)) if data.draw(st.booleans()) else None
+    if corrupt is not None:
+        k = data.draw(st.integers(0, p - 2))
+        delta = data.draw(st.integers(-3, 3).filter(bool))
+        nums = list(tab.numerators)
+        coords = list(nums[corrupt].coords)
+        coords[k] += delta
+        nums[corrupt] = CycloInt(p, tuple(coords))
+        tab = dataclasses.replace(tab, numerators=tuple(nums))
+    res = pth_power_check(tab, order)
+    assert (res.ok, res.first_mismatch) == reference_pth_power_check(tab, order)
+    assert res.first_mismatch == corrupt
 
 
 def test_q_variant_integrality_and_power():
