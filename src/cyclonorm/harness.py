@@ -70,6 +70,10 @@ class RunConfig:
     def validate(self) -> Optional[str]:
         if not is_prime(self.p) or self.p < 3:
             return f"p = {self.p} is not an odd prime"
+        for name in ("q", "e"):
+            value = getattr(self, name)
+            if value is not None and self.command != "search":
+                return f"{name} = {value} applies to search only; {self.command} does not read it"
         if self.q is not None and (not is_prime(self.q) or self.q == self.p):
             return f"q = {self.q} must be a prime different from p"
         if self.e is not None and self.e not in (0, 1):

@@ -11,7 +11,11 @@ factor divided out, is the plain series of (1 - conj) theta.
 
 The formal q-th power identity is checked on its own route, by
 cross-multiplying with the linear-factor polynomials of the finite product;
-no series is inverted.
+no series is inverted.  With T = qU and the common denominator
+D = q^{v_q(order!)}, the series has integral coefficients, so the identity
+is checked on integers.  Each coefficient is a nonnegative vector over
+1, zeta, ..., zeta^{p-1}, and each truncated series product is one bigint
+product of the series packed into slots (Kronecker substitution).
 
 Also here: semilocal evaluation with stability certificates, the double
 digit table feeding the perturbation algorithm, and the ramified-case
@@ -21,6 +25,7 @@ congruence sums.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -153,39 +158,62 @@ def binom_coeffs(theta: GroupRingElement, order: int, full: bool = True,
     return SeriesTable(p, theta, order, q, full, tuple(nums))
 
 
-# -- exact truncated power series over Q(zeta) ---------------------------------------
+# -- the q-th power check on packed integers --------------------------------------------
 
 
-def _ps_mul(a: List[CycloInt], b: List[CycloInt], order: int) -> List[CycloInt]:
-    p = a[0].p
+def to_power_basis(coords: Sequence[int]) -> Tuple[int, ...]:
+    """sum_c coords[c-1] zeta^c over 1, zeta, ..., zeta^{p-1}, shifted by its
+    minimum; 1 + zeta + ... + zeta^{p-1} = 0, so every entry is >= 0 and one is 0."""
+    low = min(0, min(coords))
+    return (-low,) + tuple(c - low for c in coords)
+
+
+def packed_product(a: Sequence[Tuple[int, ...]], b: Sequence[Tuple[int, ...]],
+                   order: int) -> List[Tuple[int, ...]]:
+    """sum_k a_k b_{m-k} for m <= order, on power-basis vectors of one p.
+
+    Each series is one integer (Kronecker substitution): the zeta^i entry of
+    its U^m coefficient sits in slot m(2p - 1) + i of w bytes, so one bigint
+    product holds every zeta^{i+j} U^{m+n} term in its own slot.  A slot sums
+    at most (order + 1) p products of nonnegative entries, which fixes w.
+    Slots p..2p-2 of each coefficient fold onto 0..p-2 (zeta^p = 1), and the
+    result is shifted to its minimum again.
+    """
+    p = len(a[0])
+    stride = 2 * p - 1
+    bits = (max(max(v) for v in a).bit_length() + max(max(v) for v in b).bit_length()
+            + ((order + 1) * p).bit_length())
+    w = (bits + 7) // 8
+    gap = bytes(w * (p - 1))
+
+    def pack(series):
+        return int.from_bytes(b"".join(
+            b"".join(c.to_bytes(w, "little") for c in v) + gap for v in series[:order + 1]),
+            "little")
+
+    x = pack(a)
+    product = x * x if a is b else x * pack(b)
+    raw = product.to_bytes(2 * (order + 1) * stride * w, "little")    # each factor fits in half
     out = []
     for m in range(order + 1):
-        acc = CycloInt.zero(p)
-        for k in range(m + 1):
-            acc = acc + a[k] * b[m - k]
-        out.append(acc)
+        at = m * stride * w
+        s = [int.from_bytes(raw[at + i * w:at + (i + 1) * w], "little") for i in range(stride)]
+        r = [s[i] + s[i + p] for i in range(p - 1)] + [s[p - 1]]
+        low = min(r)
+        out.append(tuple(v - low for v in r))
     return out
 
 
-def _ps_pow(a: List[CycloInt], e: int, order: int) -> List[CycloInt]:
-    p = a[0].p
-    result = [CycloInt.from_rational(p, 1)] + [CycloInt.zero(p)] * order
-    base = list(a)
-    while e:
-        if e & 1:
-            result = _ps_mul(result, base, order)
-        base = _ps_mul(base, base, order)
-        e >>= 1
-    return result
-
-
-def _linear_factor_product(p: int, exponents: Sequence[int], order: int) -> List[CycloInt]:
-    """prod_e (1 + zeta^e T) to T^order: each factor is a shift plus a rotation."""
-    poly = [(-1,) * (p - 1)] + [(0,) * (p - 1)] * order     # 1 = -sum_c zeta^c
+def _linear_factor_product(p: int, exponents: Sequence[int], order: int) -> List[Tuple[int, ...]]:
+    """prod_e (1 + zeta^e T) to T^order over 1, zeta, ..., zeta^{p-1}: each
+    factor is a shift plus a rotation, and every entry stays >= 0."""
+    poly = [(1,) + (0,) * (p - 1)] + [(0,) * p] * order
     for e in exponents:
+        k = p - e % p
         for m in range(order, 0, -1):
-            poly[m] = tuple(a + b for a, b in zip(poly[m], zeta_shift(p, poly[m - 1], e)))
-    return [CycloInt(p, coords) for coords in poly]
+            prev = poly[m - 1]
+            poly[m] = tuple(map(operator.add, poly[m], prev[k:] + prev[:k]))
+    return poly
 
 
 @dataclass(frozen=True)
@@ -200,13 +228,19 @@ def pth_power_check(table: SeriesTable, order: Optional[int] = None) -> PowerChe
 
     The product is num/den, two polynomials in linear factors (a factor with
     n_c < 0 moves to the other side).  den has constant term 1, so the
-    identity holds exactly when (series)^q * den = num, and the lowest
-    mismatching coefficient is the same.
+    identity holds exactly when (series)^q * den = num.  With T = qU and
+    D = q^V, V = v_q(order!), the series times D has integral coefficients
+    A_m = N_m q^{V - v_q(m!)}, and the check is A(U)^q den(qU) = D^q num(qU):
+    coefficient m of both sides is multiplied by q^{m + qV}, so the lowest
+    mismatching coefficient is the same.  Every product is a `packed_product`.
     """
     if not table.full:
         raise ValueError("the power identity applies to the full series")
     order = table.order if order is None else order
-    p = table.p
+    if not 0 <= order <= table.order:
+        raise ValueError(f"power check order {order} is outside 0..{table.order}, "
+                         f"the table's order")
+    p, q = table.p, table.q
     num_exps: List[int] = []
     den_exps: List[int] = []
     for c in range(1, p):
@@ -216,12 +250,22 @@ def pth_power_check(table: SeriesTable, order: Optional[int] = None) -> PowerChe
             e, n = -e, -n
         num_exps += [e] * n
         den_exps += [-e] * n
-    partial = [table.coefficient(m) for m in range(order + 1)]
-    crossed = _ps_mul(_ps_pow(partial, table.q, order),
-                      _linear_factor_product(p, den_exps, order), order)
+    top = factorial_valuation(order, q)
+    base = [to_power_basis([c * q ** (top - factorial_valuation(m, q)) for c in coeff.coords])
+            for m, coeff in enumerate(table.numerators[:order + 1])]
+    power = base
+    for bit in bin(q)[3:]:       # square-and-multiply from the leading bit
+        power = packed_product(power, power, order)
+        if bit == "1":
+            power = packed_product(power, base, order)
+    den = [tuple(c * q ** m for c in v)
+           for m, v in enumerate(_linear_factor_product(p, den_exps, order))]
+    crossed = packed_product(power, den, order)
     num = _linear_factor_product(p, num_exps, order)
     for m in range(order + 1):
-        if crossed[m] != num[m]:
+        scale = q ** (q * top + m)
+        # two power-basis vectors are the same element when they differ by a constant
+        if len({a - scale * b for a, b in zip(crossed[m], num[m])}) != 1:
             return PowerCheckResult(False, m)
     return PowerCheckResult(True, None)
 

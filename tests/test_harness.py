@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from cyclonorm import harness
+from cyclonorm import cli, harness
 from cyclonorm.harness import RunConfig, cmd_identities, cmd_pipeline, cmd_search, write_report
 from cyclonorm.cli import main
 
@@ -173,6 +173,38 @@ def test_pipeline_refuses_precision_or_level_below_one(monkeypatch, capsys, flag
     assert captured.err.startswith("invalid input: ")
     assert f"{flag[2:]} {value} must be at least 1" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["identities", "pipeline", "report"])
+@pytest.mark.parametrize("flag,value", [("--q", "7"), ("--e", "1"), ("--e", "0")])
+def test_cli_refuses_search_flags_elsewhere(monkeypatch, capsys, tmp_path, command, flag, value):
+    # only search reads --q and --e; any other command refuses them before
+    # it runs, instead of ignoring them
+    def no_run(cfg):
+        raise AssertionError(f"{command} ran with {flag}")
+
+    monkeypatch.setattr(cli, f"cmd_{command}", no_run)
+    argv = [command, "--p", "5", "--x", "3", "--y", "22", "--out", str(tmp_path / "rep"),
+            flag, value]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("invalid input: ")
+    assert f"{flag[2:]} = {value} applies to search only" in captured.err
+    assert captured.out == ""
+    assert not list(tmp_path.iterdir())
+
+
+def test_shared_parser_keeps_no_state_between_commands():
+    parser = cli.build_parser()
+    assert parser is cli.build_parser()
+    assert parser.parse_args(["search", "--q", "7", "--bound", "3"]).q == 7
+    again = parser.parse_args(["search"])
+    assert (again.q, again.bound) == (None, 20)
+
+
+def test_search_reads_q_and_e():
+    assert RunConfig("search", p=5, q=7, e=1).validate() is None
+    assert main(["search", "--p", "5", "--q", "7", "--e", "1", "--bound", "12"]) == 0
 
 
 def test_pipeline_p23_default_level():

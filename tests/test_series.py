@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,9 +18,11 @@ from cyclonorm.series import (
     equivariance_check,
     factorial_valuation,
     normalized_coeffs,
+    packed_product,
     pth_power_check,
     reassembly_check,
     sl_eval,
+    to_power_basis,
     wieferich_sums,
 )
 from cyclonorm.stickelberger import (
@@ -269,6 +272,75 @@ def test_power_check_matches_the_reciprocal_route(data):
     res = pth_power_check(tab, order)
     assert (res.ok, res.first_mismatch) == reference_pth_power_check(tab, order)
     assert res.first_mismatch == corrupt
+
+
+def _corrupted(tab, indices, rng):
+    """tab with one coordinate of each numerator in indices moved by a nonzero amount."""
+    nums = list(tab.numerators)
+    for m in indices:
+        coords = list(nums[m].coords)
+        coords[rng.randrange(tab.p - 1)] += rng.choice([-3, -2, -1, 1, 2, 3])
+        nums[m] = CycloInt(tab.p, tuple(coords))
+    return dataclasses.replace(tab, numerators=tuple(nums))
+
+
+@pytest.mark.parametrize("p,q,order", [
+    (13, 13, 6), (17, 17, 6), (23, 23, 6),          # the pipeline's primes
+    (5, 3, 8), (7, 3, 8), (11, 3, 7), (7, 5, 8), (13, 5, 8), (5, 7, 8), (11, 7, 8),
+])
+def test_power_check_matches_the_reciprocal_route_at_wider_range(p, q, order):
+    # q in {3, 5, 7} at order >= 7 has v_q(order!) > 0, so the common
+    # denominator q^{v_q(order!)} of the scaled series is not 1
+    rng = random.Random(1000 * p + 10 * q + order)
+    theta = GroupRingElement(p, tuple(rng.randint(-2, 2) for _ in range(p - 1)))
+    clean = binom_coeffs(theta, order, full=True, den_prime=q)
+    for indices in [(), (rng.randint(0, order),), tuple(rng.sample(range(order + 1), 2))]:
+        tab = _corrupted(clean, indices, rng)
+        res = pth_power_check(tab, order)
+        assert (res.ok, res.first_mismatch) == reference_pth_power_check(tab, order)
+        assert res.first_mismatch == (min(indices) if indices else None)
+
+
+@pytest.mark.parametrize("bad", [-1, 7])
+def test_power_check_refuses_an_order_outside_the_table(bad):
+    tab = binom_coeffs(GroupRingElement(5, (1, 0, 2, -1)), 6, full=True)
+    with pytest.raises(ValueError, match=f"order {bad} is outside 0..6"):
+        pth_power_check(tab, bad)
+
+
+def _random_series(p, order, rng, bits):
+    return [CycloInt(p, tuple(rng.randint(-(1 << bits), 1 << bits) for _ in range(p - 1)))
+            for _ in range(order + 1)]
+
+
+def _packed(a, b, order):
+    """packed_product on CycloInt series, with the normal form checked."""
+    vectors = [[to_power_basis(x.coords) for x in s] for s in (a, b)]
+    product = packed_product(vectors[0], vectors[0] if a is b else vectors[1], order)
+    assert len(product) == order + 1
+    assert all(min(v) == 0 and len(v) == len(a[0].coords) + 1 for v in product)
+    return [CycloInt(a[0].p, tuple(x - v[0] for x in v[1:])) for v in product]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 23])
+def test_packed_product_matches_schoolbook(p):
+    # random coordinates up to 2^200 in size, the extreme series +-2^200 that
+    # fills every slot to its width, the zero series and single-term series
+    rng = random.Random(p)
+    top = 1 << 200
+    for order in range(9):
+        zero = [CycloInt.zero(p)] * (order + 1)
+        extreme = [CycloInt(p, tuple(top if (i + m) % 2 else -top for i in range(p - 1)))
+                   for m in range(order + 1)]
+        single = list(zero)
+        single[rng.randint(0, order)] = _random_series(p, 0, rng, 200)[0]
+        pairs = [(_random_series(p, order, rng, bits), _random_series(p, order, rng, 200))
+                 for bits in (1, 8, 64, 200)]
+        pairs += [(zero, extreme), (extreme, extreme), (single, extreme), (single, single)]
+        for a, b in pairs:
+            assert _packed(a, b, order) == reference_ps_mul(a, b, order)
+        for a in (extreme, pairs[0][0], pairs[3][0]):
+            assert _packed(a, a, order) == reference_ps_mul(a, a, order)
 
 
 def test_q_variant_integrality_and_power():
