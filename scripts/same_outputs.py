@@ -6,8 +6,9 @@ makes for the three workloads and the given seeds (default 1 and 2) through
 `cyclonorm.cli.main`, in one process as the benchmark does.  Both trees run
 in the same work directory, because a report records its `--out` path.  Each
 op is summed up by the SHA-256 of its output files, stdout and stderr, and
-its exit code or exception.  Every op whose summary differs is printed, and
-the exit code is 1 if any does.
+its exit code or exception.  Every op whose summary differs is printed, with
+the first differing lines of each output file that differs, and the exit
+code is 1 if any does.
 
 Usage: python scripts/same_outputs.py OLD_SRC NEW_SRC [seeds...]
 
@@ -16,6 +17,7 @@ as the `src/` of two checkouts.
 """
 
 import contextlib
+import difflib
 import hashlib
 import io
 import json
@@ -27,6 +29,7 @@ import tempfile
 from collections import Counter
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+DIFF_LINES = 8   # diff lines, headers included, shown per differing output file
 
 
 def digest(data) -> str:
@@ -36,7 +39,8 @@ def digest(data) -> str:
 
 
 def run_ops(src: str, workdir: str, seeds) -> None:
-    """Child side: print one JSON line per op with the digests of its outcome."""
+    """Child side: print one JSON line per op with the digests of its outcome
+    and the text of its output files."""
     sys.path[:0] = [src, str(PERFBENCH)]
     from cyclonorm import cli
     import workloads
@@ -55,15 +59,16 @@ def run_ops(src: str, workdir: str, seeds) -> None:
                     code = exc.code
                 except Exception as exc:  # a crash is an outcome to compare
                     code, raised = None, f"{type(exc).__name__}: {exc}"
-                files = {}
+                files, texts = {}, {}
                 for path in op.outputs:
                     p = pathlib.Path(path)
                     files[p.name] = digest(p.read_bytes()) if p.exists() else None
+                    texts[p.name] = p.read_text(encoding="utf-8") if p.exists() else ""
                 print(json.dumps({
                     "op": f"{workload} seed={seed} #{i:02d} {op.label}",
                     "code": code, "raised": raised,
                     "stdout": digest(out.getvalue()), "stderr": digest(err.getvalue()),
-                    "files": files,
+                    "files": files, "texts": texts,
                 }), flush=True)
 
 
@@ -95,11 +100,20 @@ def main(argv) -> int:
         shutil.rmtree(base, ignore_errors=True)
     differ = 0
     for op in sorted(old.keys() | new.keys()):
-        a, b = old.get(op), new.get(op)
+        a, b = old.get(op, {}), new.get(op, {})
+        old_texts, new_texts = a.pop("texts", {}), b.pop("texts", {})
         if a != b:
             differ += 1
-            parts = sorted(k for k in (a or b) if (a or {}).get(k) != (b or {}).get(k))
+            parts = sorted(k for k in (a or b) if a.get(k) != b.get(k))
             print(f"DIFFERS {op}: {', '.join(parts)}")
+            for name in sorted(old_texts.keys() | new_texts.keys()):
+                lines = list(difflib.unified_diff(
+                    old_texts.get(name, "").splitlines(), new_texts.get(name, "").splitlines(),
+                    f"old/{name}", f"new/{name}", n=0, lineterm=""))
+                for line in lines[:DIFF_LINES]:
+                    print(f"    {line}")
+                if len(lines) > DIFF_LINES:
+                    print(f"    ... {len(lines) - DIFF_LINES} more lines")
     summary = ", ".join(f"{n} {w}" for w, n in Counter(op.split()[0] for op in old).items())
     print(f"{differ} of {len(old.keys() | new.keys())} ops differ ({summary} ops per tree)")
     return 1 if differ else 0

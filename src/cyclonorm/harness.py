@@ -65,15 +65,10 @@ class RunConfig:
     level: int = 4
     seed: int = 0
     out: Optional[str] = None
-    waive_scale: bool = False
 
     def validate(self) -> Optional[str]:
         if not is_prime(self.p) or self.p < 3:
             return f"p = {self.p} is not an odd prime"
-        for name in ("q", "e"):
-            value = getattr(self, name)
-            if value is not None and self.command != "search":
-                return f"{name} = {value} applies to search only; {self.command} does not read it"
         if self.q is not None and (not is_prime(self.q) or self.q == self.p):
             return f"q = {self.q} must be a prime different from p"
         if self.e is not None and self.e not in (0, 1):
@@ -564,8 +559,7 @@ def cmd_pipeline(cfg: RunConfig) -> Report:
     report.add("digit-table", "digit-rows-and-reassembly", rows_ok and reasm_ok,
                {"p": p, "depth": depth}, {}, arithmetic=f"mod {y}^{depth - 1}")
 
-    toy = cfg.waive_scale or y <= 2 * p
-    mtable = lattice.perturb_for_independence(dtable, toy_override=toy)
+    mtable = lattice.perturb_for_independence(dtable)
     worst, sup_ok = mtable.sup_certificate()
     carry, carry_ok = mtable.carry_certificate()
     sum_ok = lattice.sum_preservation_check(mtable, depth - 1)

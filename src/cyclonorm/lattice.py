@@ -103,7 +103,7 @@ class ModifiedTable:
         return worst, worst <= self.p - 1
 
 
-def perturb_for_independence(dtable: DoubleTable, toy_override: bool = False) -> ModifiedTable:
+def perturb_for_independence(dtable: DoubleTable) -> ModifiedTable:
     """Perturb the digit table until the coefficient vectors are independent.
 
     Processes pairs in the index order up to rank p-1.  A dependent entry b
@@ -112,10 +112,10 @@ def perturb_for_independence(dtable: DoubleTable, toy_override: bool = False) ->
     vector y zeta^j is moved across the two terms.  The series sum is
     preserved exactly (denominator flags d in {1, p}), every modified entry
     keeps sup-norm < y, and only the forward neighbour is ever touched.
+    It runs at y <= 2p too, below the paper's range y > 2p; there the
+    certificates of the returned table say whether its bounds held.
     """
     p, y = dtable.p, dtable.y
-    if y <= 2 * p and not toy_override:
-        raise ValueError("needs y > 2p (pass toy_override to waive)")
     need = [order_unrank(i) for i in range(1, p)]
     for (n, h) in need:
         if (n + 1, h) not in dtable.entries:
@@ -525,6 +525,10 @@ def read_matrix(path: str) -> List[List[int]]:
         if len(header) != 2:
             raise ValueError("the matrix file must start with a 'rows cols' line")
         nrows, ncols = int(header[0]), int(header[1])
+        if nrows < 1:
+            raise ValueError("the matrix has no rows")
+        if ncols < 1:
+            raise ValueError("the matrix has no columns")
         rows = []
         for _ in range(nrows):
             row = [int(x) for x in f.readline().split()]

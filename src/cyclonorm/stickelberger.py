@@ -10,8 +10,9 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
+from . import linalg
 from .group_ring import (
     GroupRingElement,
     idempotent_mod_p,
@@ -192,26 +193,10 @@ def minus_part_rank(ctx: StickelbergerContext) -> int:
         for c in range(1, p):
             elem = GroupRingElement.sigma(p, c) * psi
             rows.append([(a - b) % p for a, b in zip(elem.coeffs, elem.conjugate().coeffs)])
-    return _rank_mod_p(rows, p)
-
-
-def _rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:
-    mat = [list(r) for r in rows]
-    rank = 0
-    ncols = len(mat[0]) if mat else 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, len(mat)) if mat[i][col] % p), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = pow(mat[rank][col], p - 2, p)
-        mat[rank] = [v * inv % p for v in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col] % p:
-                f = mat[i][col]
-                mat[i] = [(a - f * b) % p for a, b in zip(mat[i], mat[rank])]
-        rank += 1
-    return rank
+    # the HNF of the rows and p*Z^(p-1): every pivot divides p, and the
+    # index p^(p-1-rank) counts the pivots equal to p
+    hnf = linalg.hermite_normal_form(rows, p - 1, det_multiple=p)
+    return sum(hnf[i][i] == 1 for i in range(p - 1))
 
 
 def bernoulli_profile(ctx: StickelbergerContext) -> BernoulliProfile:

@@ -36,36 +36,36 @@ def test_identities_deterministic_bytes():
 # moves one of them changes what the checker reports, not only how it runs.
 REPORT_PINS = {
     ("identities", 5, None, None):
-        "96de0adb0b9bcdcb78f306ff762511a40345915807511154b8c0f8271ee70fba",
+        "e1a5b0f9ad023316c302f86889300b22d676a1c61da94b7b3d9e5c177062b65d",
     ("identities", 7, None, None):
-        "8516910d45e4d3a4a3300944fe787bf976715f228e7555b3322f605b7a40171a",
+        "928c846618c6a432a5a3eca6393d1f2e91ad7e11fb309be55ea9bb93d268914b",
     ("identities", 11, None, None):
-        "37801a30475e485bf801e611cfeb8d797702513f3248320e9256a3f2e94c00be",
+        "685afd9a91228a792b9f4d8d803b03b4b2a1e405ae795c12ad341962166cdf82",
     ("identities", 13, None, None):
-        "2b381af0a2ed5b0252d82df2da9c466778bbbcdc37172009a6f4e9c7cdb306e6",
+        "408a8b01cf798660e03f18ad775fadf6fbfa730c5da09e35e4a5b524f74e7aa2",
     ("identities", 17, None, None):
-        "01470874e0d1ddb0943469df2f79a1a574014ad347b150eef6b98535c6a56459",
+        "fba81db82c313c36092299856c269a4881b68837223f69be3bbf62f27f58046f",
     ("identities", 23, None, None):
-        "b1786d1afbec3dc556f0c87f56fe38b3dbcc4447f67e26232f3e7fae0bffd5e0",
+        "08f4f7cf0234ee0ce7b0fb1f5a24d4779897b0626b675b659d23fb78f88a4a7c",
     ("identities", 37, None, None):
-        "51c006bc1cb9b5e8e8d1e7ba694df33e1a5e4135082c6e7342d7ecb46b668f3e",
+        "6d65cfdc443c2eb4d66f09977dc236e39a6eb1c764635d4d238b06bd7d36311f",
     ("pipeline", 5, 3, 22):
-        "acfee4ea044d6c611ab93235f4ebc1874064e228b25a30cd0fde29a5782f8cf8",
+        "c2d9a6e89c07633264c6d9ab848775223d029146f26f8c328e75ef9fffff9a6f",
     # twist-selection fails here: each twist's least kernel vector pairs to 0
     ("pipeline", 7, 3, 26):
-        "5f4220ab2ac0fb4d2983c24101db7298bd560b4567af828c5ff85a3cb8e4a754",
+        "888ebc706b225678e24308ad39a1ec975f7e5b2419e3571ce1953ce16c459574",
     # the digit bases below: 5^2 over degree-5 factors, 3^3 over degree-3
     # factors, and 3 inert times 11 split
     ("pipeline", 11, 2, 25):
-        "3c100e2a8685aeece474ab8ded32160898a2cfc982c90f351f274f2578cd010f",
+        "456f54283ed9eabc691320ea52d53d1326e2f25645f02db7d129cffb9901515c",
     ("pipeline", 13, 2, 27):
-        "0dd09303f23f023853c151992f7e4ac5bf2293e7d27f02c37cdd774dd9779752",
+        "bdc152f64f457bb89e71209995f122023b2036f58116715dff34684309ac6c77",
     ("pipeline", 5, 2, 33):
-        "c20b0b773f2590bf14eea93b2685b70185ed9d65fcef9db9d9107e07160a8b7e",
+        "c91b7c8722bc2ac3e32d2daac2b85a30ebe23c887081d94a314bdea9736a5d7b",
     ("pipeline", 17, 2, 19):
-        "f13758d86a10ac399b04dfe570e8b57914a0120c60b2da3100993c207c903c99",
+        "a30b4f45dc3548cb009d221eda34e70642d18cd57e3116358e2a270b6d4f1042",
     ("pipeline", 23, 2, 41):
-        "8d4b1a373993152c39760ffc775e677dd42f4a5fdefa0c468f6315b696ac2c11",
+        "a4fc107fed78a3d81679fb0a17c54b80fdb4ea31c62c1e0d0247bd631a97743a",
 }
 
 
@@ -306,19 +306,80 @@ def test_cli_siegel_rejects_bound_below_one(tmp_path, capsys, bound):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("text", [
-    "2 4\n1 2 3 4\n1 2 3\n",          # a row shorter than declared
-    "",                               # an empty file
-    "2 2\n1 0\n0 1\n",                # a square system: no free direction
-    "2 4\n1 2 3 4\n2 4 6 8\n",        # dependent rows
-    None,                             # a missing file
-    "1 3\n1 1 1\n5 0 -5\n",         # more rows than declared
-], ids=["short-row", "empty-file", "square", "dependent-rows", "missing-file", "extra-row"])
-def test_cli_siegel_rejects_bad_input(tmp_path, capsys, text):
+@pytest.mark.parametrize("text,extra", [
+    ("2 4\n1 2 3 4\n1 2 3\n", []),          # a row shorter than declared
+    ("", []),                               # an empty file
+    ("2 2\n1 0\n0 1\n", []),                # a square system: no free direction
+    ("2 4\n1 2 3 4\n2 4 6 8\n", []),        # dependent rows
+    (None, []),                             # a missing file
+    ("1 3\n1 1 1\n5 0 -5\n", []),           # more rows than declared
+    ("1 0\n\n", []),                        # a header that declares no columns
+    ("1 0\n\n", ["--bound", "3"]),          # ... also with the bound given
+], ids=["short-row", "empty-file", "square", "dependent-rows", "missing-file", "extra-row",
+        "zero-columns", "zero-columns-bound"])
+def test_cli_siegel_rejects_bad_input(tmp_path, capsys, text, extra):
     mat = tmp_path / "m.txt"
     if text is not None:
         mat.write_text(text)
-    assert main(["siegel", "--matrix", str(mat)]) == 2
+    assert main(["siegel", "--matrix", str(mat)] + extra) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("invalid input: ")
     assert captured.out == ""
+
+
+# the options each command reads; every other one is refused
+COMMAND_READS = {
+    "identities": {"p", "seed", "out"},
+    "search": {"p", "q", "e", "bound", "out"},
+    "pipeline": {"p", "x", "y", "precision", "level", "seed", "out"},
+    "report": {"out"},
+    "siegel": {"matrix", "bound", "out"},
+}
+OPTION_VALUES = {"p": "7", "q": "11", "e": "1", "bound": "3", "x": "9", "y": "38",
+                 "precision": "3", "level": "2", "seed": "11"}
+
+
+@pytest.mark.parametrize("option", sorted(set().union(*COMMAND_READS.values())) + ["waive-scale"])
+@pytest.mark.parametrize("command", list(COMMAND_READS))
+def test_cli_commands_take_only_the_options_they_read(monkeypatch, capsys, tmp_path,
+                                                      command, option):
+    # an option the command reads reaches its handler; any other one is
+    # refused before the handler runs, and nothing is written
+    (tmp_path / "in").mkdir()
+    (tmp_path / "out").mkdir()
+    mat = tmp_path / "in" / "m.txt"
+    mat.write_text("1 2\n1 1\n")
+    values = {**OPTION_VALUES, "out": str(tmp_path / "out" / "rep"), "matrix": str(mat)}
+    seen = []
+    if command == "siegel":
+        def solve(rows, ambient, bound):
+            seen.append({"matrix": rows, "bound": bound})
+            return [1, -1]
+
+        monkeypatch.setattr(cli.lattice, "siegel_solve", solve)
+        argv = ["siegel"] + ([] if option == "matrix" else ["--matrix", str(mat)])
+    else:
+        def handler(cfg):
+            seen.append(vars(cfg))
+            return [] if command == "report" else harness.Report(command, {})
+
+        monkeypatch.setattr(cli, f"cmd_{command}", handler)
+        argv = [command]
+    argv += [f"--{option}"] + ([values[option]] if option in values else [])
+
+    if option in COMMAND_READS[command]:
+        assert main(argv) == 0
+        if command == "siegel" and option == "out":
+            assert (tmp_path / "out" / "rep").read_text() == "1 -1\n"
+        elif command == "siegel":
+            assert seen[0][option] == ([[1, 1]] if option == "matrix" else 3)
+        else:
+            assert seen[0][option] == (values[option] if option == "out" else int(values[option]))
+        return
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("invalid input: ")
+    assert f"{command} does not read" in captured.err
+    assert captured.out == ""
+    assert not seen
+    assert not list((tmp_path / "out").iterdir())

@@ -258,8 +258,8 @@ def test_perturbation_guards():
     p, y, x = 5, 8, 3
     dt = synthetic_table(p, 106, x, 5, 0)
     small = DoubleTable(p, p, x, y, 5, dt.rho, dt.entries)
-    with pytest.raises(ValueError):
-        perturb_for_independence(small)          # y <= 2p without the override
+    mt = perturb_for_independence(small)         # y <= 2p runs all the same
+    assert isinstance(mt, lattice.ModifiedTable) and mt.rank_certificate()
     shallow = DoubleTable(p, p, x, 106, 1, dt.rho,
                           {k: v for k, v in dt.entries.items() if sum(k) <= 1})
     with pytest.raises(ValueError):

@@ -3,6 +3,9 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
+
+from cyclonorm import linalg
 
 from cyclonorm.cyclotomic import CycloInt
 from cyclonorm.group_ring import GroupRingElement, subgroup_fix_test, weights
@@ -18,6 +21,7 @@ from cyclonorm.stickelberger import (
     fermat_quotient_classical,
     fuchsian,
     fueter,
+    minus_part_rank,
     modified_idempotent,
     theta_p,
 )
@@ -124,6 +128,59 @@ def test_profile_bounds_and_rank(p, contexts):
     assert prof.surviving_count == (p - 1) // 2 - prof.irregularity_index
     assert prof.rank_matches
     assert prof.rank_lower_bound_ok             # 4 r_p >= p - 1
+
+
+def rank_mod_p_reference(rows, p):
+    """Gauss-Jordan elimination over F_p: the rank of the rows mod p."""
+    mat = [list(r) for r in rows]
+    rank = 0
+    ncols = len(mat[0]) if mat else 0
+    for col in range(ncols):
+        piv = next((i for i in range(rank, len(mat)) if mat[i][col] % p), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        inv = pow(mat[rank][col], p - 2, p)
+        mat[rank] = [v * inv % p for v in mat[rank]]
+        for i in range(len(mat)):
+            if i != rank and mat[i][col] % p:
+                f = mat[i][col]
+                mat[i] = [(a - f * b) % p for a, b in zip(mat[i], mat[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_minus_part_rank_against_elimination(p, contexts):
+    rows = []
+    for n in range(1, (p - 1) // 2 + 1):
+        for c in range(1, p):
+            elem = GroupRingElement.sigma(p, c) * fueter(contexts[p], n)
+            rows.append([(a - b) % p for a, b in zip(elem.coeffs, elem.conjugate().coeffs)])
+    assert minus_part_rank(contexts[p]) == rank_mod_p_reference(rows, p)
+
+
+@st.composite
+def matrices_mod_prime(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7, 11]))
+    ncols = draw(st.integers(1, 6))
+    row = st.lists(st.integers(-3 * p, 3 * p), min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(st.one_of(row, st.just([0] * ncols)), max_size=8))
+    if rows:
+        # a repeated row adds nothing to the rank
+        rows += draw(st.lists(st.sampled_from(rows), max_size=2))
+    return p, ncols, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices_mod_prime())
+def test_hnf_pivots_of_one_count_the_rank_mod_p(case):
+    # with p*Z^n preloaded every pivot divides p, and the index p^(n - rank)
+    # leaves exactly rank pivots equal to 1
+    p, ncols, rows = case
+    hnf = linalg.hermite_normal_form(rows, ncols, det_multiple=p)
+    assert all(hnf[i][i] in (1, p) for i in range(ncols))
+    assert sum(hnf[i][i] == 1 for i in range(ncols)) == rank_mod_p_reference(rows, p)
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
