@@ -78,22 +78,34 @@ def rank_rational(rows: Iterable[Sequence]) -> int:
 
 
 class RowSpace:
-    """Incremental row space over Q with exact membership tests."""
+    """Incremental row space over Q with exact membership tests.
+
+    The echelon is kept in integers: each row is a primitive integer vector
+    (a row of Fractions is cleared of its denominators first), and a vector
+    v is reduced by v <- e_piv v - v_piv e, then divided by the gcd of its
+    entries, so no Fraction arithmetic is done.
+    """
 
     def __init__(self) -> None:
-        self._echelon: List[List[Fraction]] = []
+        self._echelon: List[List[int]] = []
         self._pivots: List[int] = []
 
     @property
     def rank(self) -> int:
         return len(self._echelon)
 
-    def _reduce(self, row: Sequence) -> List[Fraction]:
-        v = [Fraction(x) for x in row]
+    def _reduce(self, row: Sequence) -> List[int]:
+        v = [x if type(x) is int else Fraction(x) for x in row]
+        den = math.lcm(*(x.denominator for x in v))
+        v = [x.numerator * (den // x.denominator) for x in v]
         for piv, erow in zip(self._pivots, self._echelon):
-            if v[piv]:
-                c = v[piv]
-                v = [a - c * b for a, b in zip(v, erow)]
+            c = v[piv]
+            if c:
+                e = erow[piv]
+                v = [e * a - c * b for a, b in zip(v, erow)]
+                g = math.gcd(*v)
+                if g > 1:
+                    v = [a // g for a in v]
         return v
 
     def contains(self, row: Sequence) -> bool:
@@ -104,8 +116,8 @@ class RowSpace:
         v = self._reduce(row)
         for idx, x in enumerate(v):
             if x:
-                inv = Fraction(1) / x
-                self._echelon.append([a * inv for a in v])
+                g = math.gcd(*v)
+                self._echelon.append([a // g for a in v])
                 self._pivots.append(idx)
                 return True
         return False
@@ -350,4 +362,7 @@ def enumerate_short_vectors(basis: Sequence[Sequence[int]], radius_sq: Fraction,
             yield from recurse(level - 1, now, nonzero or x != 0, nxt)
         coeffs[level] = 0
 
-    yield from recurse(n - 1, 0, False, None if sup_bound is None else [0] * len(basis[0]))
+    try:
+        yield from recurse(n - 1, 0, False, None if sup_bound is None else [0] * len(basis[0]))
+    finally:
+        recurse = None      # the closure refers to itself: break that cycle

@@ -6,8 +6,13 @@ q^{E(m)} a_m integral, E(m) = m + v_q(m!).  Everything is computed through
 the factorial-normalized integral coefficients b_m = q^m m! a_m, which obey
 the convolution rule b_m(t1 + t2) = sum_k C(m,k) b_k(t1) b_{m-k}(t2).  Each
 factor (1 + zeta^{1/c} T)^{n/q} has monomial b_j, so every convolution is a
-sum of rotations by powers of zeta.  The full series, with the conjugate
-factor divided out, is the plain series of (1 - conj) theta.
+sum of rotations by powers of zeta.  Those run on plain integers: zeta -> 2^w
+maps Z[X]/(X^p - 1) onto the residues modulo 2^{pw} - 1, where an element
+is one residue and zeta^r x is a rotation of its pw bits.  The slot width w
+is fixed by the table of (1 - T)^{-|theta|/q}, which bounds every entry
+(see `normalized_coeffs`), so each coefficient is decoded once, at the end.
+The full series, with the conjugate factor divided out, is the plain
+series of (1 - conj) theta.
 
 The formal q-th power identity is checked on its own route, by
 cross-multiplying with the linear-factor polynomials of the finite product;
@@ -37,7 +42,6 @@ from .cyclotomic import (
     congruent_mod_rational,
     inverse_uniformizer_numerator,
     max_conjugate_abs,
-    zeta_shift,
 )
 from .group_ring import GroupRingElement, weights
 from .semilocal import (
@@ -72,30 +76,57 @@ def normalized_coeffs(theta: GroupRingElement, m_max: int, q: int) -> List[Cyclo
 
     The factor (1 + zeta^{1/c} T)^{n/q} has b_j = s_j zeta^{j/c} with
     s_j = prod_{i<j} (n - i q), so the convolution with it is
-    b_m <- sum_k C(m,k) s_{m-k} zeta^{(m-k)/c} b_k: rotations of integer
-    coordinate tuples, with no product in Z[zeta].
+    b_m <- zeta^{m/c} sum_k C(m,k) s_{m-k} (zeta^{-k/c} b_k).
+
+    It runs in Z/N, N = 2^{pw} - 1, the image of Z[X]/(X^p - 1) under
+    zeta -> 2^w: a vector over 1, zeta, ..., zeta^{p-1} is one residue and
+    zeta^r x is a rotation of its pw bits, so each step is a scalar
+    multiply-add of bigints.  Between factors b_m is held turned by
+    zeta^{-m/c}, which merges the rotation back with the next de-rotation.
+
+    The slot width: the same convolution on absolute values gives the table
+    of (1 - T)^{-|theta|/q}, |theta| = sum_c |n_c|, whose m-th entry is the
+    rising factorial prod_{i<m} (|theta| + i q) of step q (Vandermonde).  It
+    bounds the l1 norm of the vector behind b_m and does not decrease in m
+    (theta = 0 leaves b_0 = 1 alone).  So w, two bits more than the bound at
+    m_max, holds every entry with a balanced offset of 2^{w-1} per slot, and
+    each b_m is decoded once, at the end, then projected onto zeta..zeta^{p-1}.
     """
     p = theta.p
-    b = [(-1,) * (p - 1)] + [(0,) * (p - 1)] * m_max     # b_0 = 1 = -sum_c zeta^c
+    norm = sum(abs(theta.coeff(c)) for c in range(1, p))
+    w = max(1, math.prod(range(norm, norm + m_max * q, q))).bit_length() + 2
+    width = p * w
+    mod = (1 << width) - 1
+
+    def rotate(x: int, r: int) -> int:         # zeta^r x for a residue 0 <= x <= mod
+        r = r % p * w
+        return ((x << r) & mod) | (x >> (width - r))
+
+    scalars: Dict[int, List[List[int]]] = {}     # n -> rows C(m,k) s_{m-k}, k <= m
+    b = [1] + [0] * m_max          # held as zeta^{-m frame} b_m
+    frame = 0
     for c in range(1, p):
         n = theta.coeff(c)
         if not n:
             continue
+        if n not in scalars:
+            s = [1]
+            for i in range(m_max):
+                s.append(s[-1] * (n - i * q))
+            scalars[n] = [[math.comb(m, k) * s[m - k] for k in range(m + 1)]
+                          for m in range(m_max + 1)]
         c_inv = pow(c, p - 2, p)
-        s = [1]
-        for i in range(m_max):
-            s.append(s[-1] * (n - i * q))
-        out = []
-        for m in range(m_max + 1):
-            acc = (0,) * (p - 1)
-            for k in range(m + 1):
-                scalar = math.comb(m, k) * s[m - k]
-                if scalar:
-                    rotated = zeta_shift(p, b[k], (m - k) * c_inv)
-                    acc = tuple(a + scalar * v for a, v in zip(acc, rotated))
-            out.append(acc)
-        b = out
-    return [CycloInt(p, coords) for coords in b]
+        turned = [rotate(bk, k * (frame - c_inv)) for k, bk in enumerate(b)]
+        b = [sum(map(operator.mul, row, turned)) % mod for row in scalars[n]]
+        frame = c_inv
+    mask = (1 << w) - 1
+    offset = mod // mask << (w - 1)               # 2^{w-1} in every slot
+    out = []
+    for m, bm in enumerate(b):
+        x = (rotate(bm, m * frame) + offset) % mod
+        slots = [(x >> (i * w) & mask) for i in range(p)]
+        out.append(CycloInt(p, tuple(v - slots[0] for v in slots[1:])))
+    return out
 
 
 def _exact_divide_scalar(x: CycloInt, d: int) -> CycloInt:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -28,9 +29,14 @@ from cyclonorm.lattice import (
     write_matrix,
     write_witness,
 )
-from cyclonorm.series import DoubleTable, binom_coeffs, double_table
+from cyclonorm.series import DoubleTable, binom_coeffs, double_table, equivariance_check
 from cyclonorm.semilocal import synthetic_root_of_unity
-from cyclonorm.stickelberger import StickelbergerContext, fueter
+from cyclonorm.stickelberger import (
+    ConstructionFailed,
+    StickelbergerContext,
+    construct_weight2_annihilator,
+    fueter,
+)
 
 
 def test_order_examples():
@@ -264,6 +270,44 @@ def test_perturbation_guards():
                           {k: v for k, v in dt.entries.items() if sum(k) <= 1})
     with pytest.raises(ValueError):
         perturb_for_independence(shallow)        # missing forward guard entries
+
+
+def _sha(obj):
+    return hashlib.sha256(repr(obj).encode("ascii")).hexdigest()
+
+
+# SHA-256 of the layers `pipeline --p 61 --x 2 --y 127` (seed 0, depth 11)
+# runs before the twist stage, the paper's regime p > 41: the series
+# numerators to order 13 and the perturbation pass on the digit table.
+PAPER_REGIME_PINS = {
+    "numerators": "53225c7d76be5952abfd8956e4b30a459966b7b365f82a7af94fe8a77fa8b174",
+    "entries": "384a73ff77542d1f11444e00f7ed03938f9fe08d4485ed96772df69ebaa80257",
+    "divisors": "ddee0e8e97f10cfb2470b5fec9739d0c14e30a96debb14cf2441a66e1d4e8cd3",
+    "ranks": "ef8b4a50ac6367629e1bc8cc38426635df3700337003765567a0351043815d96",
+    "steps": "6859b824762cd8a34718141281414a6a217055a5371b647ab1f541d1b2ed9261",
+}
+
+
+def test_paper_regime_layers_pinned_at_p61():
+    p, x, y, depth = 61, 2, 127, 11
+    assert depth == guard_depth(p)
+    ctx = StickelbergerContext(p)
+    try:
+        theta = construct_weight2_annihilator(ctx).element
+    except ConstructionFailed:
+        theta = fueter(ctx, 1).scale(2)
+    tab = binom_coeffs(theta, depth + 2)
+    assert equivariance_check(tab, x, y, 4)
+    dt = double_table(tab, synthetic_root_of_unity(p, y, depth + 1, seed=0), x, y, depth)
+    mt = perturb_for_independence(dt)
+    got = {
+        "numerators": _sha([n.coords for n in tab.numerators]),
+        "entries": _sha(sorted((k, v.coords) for k, v in mt.entries.items())),
+        "divisors": _sha(sorted(mt.divisors.items())),
+        "ranks": _sha(mt.ranks),
+        "steps": _sha(mt.steps),
+    }
+    assert got == PAPER_REGIME_PINS
 
 
 def test_twist_selection_toy_scale():

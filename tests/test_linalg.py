@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import random
@@ -5,7 +6,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cyclonorm import linalg
 from cyclonorm.cyclotomic import CycloInt, zeta_shift
@@ -185,6 +186,80 @@ def test_modular_hnf_matches_reference():
         checked += 1
 
 
+class ReferenceRowSpace:
+    """Reference for RowSpace: an echelon over Fractions, each row scaled to pivot 1."""
+
+    def __init__(self):
+        self._echelon = []
+        self._pivots = []
+
+    @property
+    def rank(self):
+        return len(self._echelon)
+
+    def _reduce(self, row):
+        v = [Fraction(x) for x in row]
+        for piv, erow in zip(self._pivots, self._echelon):
+            if v[piv]:
+                c = v[piv]
+                v = [a - c * b for a, b in zip(v, erow)]
+        return v
+
+    def contains(self, row):
+        return not any(self._reduce(row))
+
+    def add(self, row):
+        v = self._reduce(row)
+        for idx, x in enumerate(v):
+            if x:
+                inv = Fraction(1) / x
+                self._echelon.append([a * inv for a in v])
+                self._pivots.append(idx)
+                return True
+        return False
+
+
+@st.composite
+def row_space_calls(draw):
+    """A sequence of (add or contains, row) calls in one dimension; the rows
+    mix ints, Fractions, zero rows and combinations of earlier rows."""
+    n = draw(st.integers(1, 6))
+    entry = st.one_of(st.integers(-5, 5), st.integers(-10 ** 30, 10 ** 30))
+    fraction = st.fractions(min_value=-50, max_value=50, max_denominator=60)
+    calls, seen = [], []
+    for _ in range(draw(st.integers(1, 14))):
+        kind = draw(st.sampled_from(["int", "fraction", "zero", "dependent"]))
+        if kind == "int":
+            row = draw(st.lists(entry, min_size=n, max_size=n))
+        elif kind == "fraction":
+            row = draw(st.lists(fraction, min_size=n, max_size=n))
+        elif kind == "zero":
+            row = [draw(st.sampled_from([0, Fraction(0)]))] * n
+        else:
+            row = [Fraction(0)] * n
+            for base in seen:
+                c = draw(fraction)
+                row = [a + c * b for a, b in zip(row, base)]
+            if draw(st.booleans()) and all(x.denominator == 1 for x in row):
+                row = [int(x) for x in row]
+        seen.append(row)
+        calls.append((draw(st.sampled_from(["add", "contains"])), row))
+    return calls
+
+
+@settings(max_examples=150, deadline=None)
+@given(row_space_calls())
+def test_row_space_matches_the_fraction_echelon(calls):
+    space, reference = linalg.RowSpace(), ReferenceRowSpace()
+    rows = []
+    for method, row in calls:
+        assert getattr(space, method)(row) == getattr(reference, method)(row)
+        assert space.rank == reference.rank
+        if method == "add":
+            rows.append(row)
+            assert linalg.rank_rational(rows) == reference.rank
+
+
 def test_integer_kernel_saturated():
     rng = random.Random(3)
     for _ in range(30):
@@ -261,6 +336,25 @@ def test_enumerate_short_vectors_complete():
         n = rng.randrange(1, 4)
         basis = [[rng.randrange(-3, 4) for _ in range(n + 1)] for _ in range(n)]
         radius_sq = Fraction(rng.randrange(0, 100), rng.randrange(1, 4))
+
+
+def test_enumeration_leaves_no_recurse_cycle():
+    # one enumeration run to its end, one dropped after its first vector:
+    # neither may leave its recursive closure to the cyclic collector
+    basis = [[1, 0, 2], [0, 1, 1], [1, 1, 0]]
+    flags = gc.get_debug()
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert list(linalg.enumerate_short_vectors(basis, Fraction(6)))
+        dropped = linalg.enumerate_short_vectors(basis, Fraction(6), sup_bound=2)
+        assert next(dropped)
+        del dropped
+        gc.collect()
+        assert not [o for o in gc.garbage if getattr(o, "__name__", None) == "recurse"]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
 
 
 def test_short_vector_routines_reject_dependent_rows():

@@ -4,9 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from cyclonorm.cyclotomic import CycloInt, inverse_uniformizer_numerator
+from cyclonorm.cyclotomic import CycloInt, inverse_uniformizer_numerator, zeta_shift
 from cyclonorm.group_ring import GroupRingElement
 from cyclonorm.semilocal import synthetic_root_of_unity
 from cyclonorm.series import (
@@ -89,19 +89,67 @@ def reference_binom_numerators(theta, order, full, q):
                  for m, bm in enumerate(b))
 
 
-@settings(max_examples=40, deadline=None)
-@given(data=st.data())
-def test_tables_equal_the_reciprocal_route(data):
-    p = data.draw(st.sampled_from([3, 5, 7, 11, 13]))
-    q = data.draw(st.sampled_from([p, 7 if p == 5 else 5]))
-    coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=p - 1, max_size=p - 1))
-    theta = GroupRingElement(p, tuple(coeffs))
-    order = data.draw(st.integers(0, 10))
-    full = data.draw(st.booleans())
+def reference_rotation_coeffs(theta, m_max, q):
+    """Reference for normalized_coeffs: each factor convolution as a sum of
+    zeta-rotations of integer coordinate tuples over zeta, ..., zeta^{p-1}."""
+    p = theta.p
+    b = [(-1,) * (p - 1)] + [(0,) * (p - 1)] * m_max
+    for c in range(1, p):
+        n = theta.coeff(c)
+        if not n:
+            continue
+        c_inv = pow(c, p - 2, p)
+        s = [1]
+        for i in range(m_max):
+            s.append(s[-1] * (n - i * q))
+        out = []
+        for m in range(m_max + 1):
+            acc = (0,) * (p - 1)
+            for k in range(m + 1):
+                scalar = math.comb(m, k) * s[m - k]
+                if scalar:
+                    rotated = zeta_shift(p, b[k], (m - k) * c_inv)
+                    acc = tuple(a + scalar * v for a, v in zip(acc, rotated))
+            out.append(acc)
+        b = out
+    return [CycloInt(p, coords) for coords in b]
+
+
+# q is drawn from the primes below 12 (p itself at index 0); the reference
+# route finishes quickly up to order 10 at p <= 13 and order 6 above.
+TABLE_PRIMES = [3, 5, 7, 11, 13, 17, 23, 31]
+SMALL_OR_LARGE = st.one_of(st.integers(-3, 3), st.integers(-10 ** 6, 10 ** 6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from(TABLE_PRIMES), q_at=st.integers(0, 4),
+       coeffs=st.lists(SMALL_OR_LARGE, min_size=30, max_size=30),
+       order=st.integers(0, 10), full=st.booleans())
+@example(p=31, q_at=0, coeffs=[0] * 30, order=6, full=True)               # theta = 0
+@example(p=5, q_at=1, coeffs=[0] * 30, order=0, full=False)
+@example(p=13, q_at=0, coeffs=[-2, 1] * 15, order=0, full=True)          # order 0
+@example(p=31, q_at=2, coeffs=[10 ** 6, -10 ** 6] * 15, order=6, full=True)
+@example(p=23, q_at=0, coeffs=[10 ** 6] * 30, order=6, full=False)
+@example(p=17, q_at=4, coeffs=[-10 ** 6] + [0] * 29, order=6, full=False)
+def test_tables_equal_the_reciprocal_route(p, q_at, coeffs, order, full):
+    q = ([p] + [r for r in (2, 3, 5, 7, 11) if r != p])[q_at]
+    order = min(order, 10 if p <= 13 else 6)
+    theta = GroupRingElement(p, tuple(coeffs[:p - 1]))
     tab = binom_coeffs(theta, order, full=full, den_prime=q)
     assert tab.numerators == reference_binom_numerators(theta, order, full, q)
     for bm in normalized_coeffs(theta, order, q) + list(tab.numerators):
         assert set(map(type, bm.coords)) == {int}
+
+
+# the rotation loop reaches the primes and orders (to 12) that the reciprocal
+# route cannot finish, where the slot width of the residues is widest
+@settings(max_examples=30, deadline=None)
+@given(p=st.sampled_from([5, 13, 29, 37, 43]), q=st.sampled_from([2, 3, 43]),
+       coeffs=st.lists(SMALL_OR_LARGE, min_size=42, max_size=42),
+       m_max=st.integers(0, 12))
+def test_tables_equal_the_rotation_loop(p, q, coeffs, m_max):
+    theta = GroupRingElement(p, tuple(coeffs[:p - 1]))
+    assert normalized_coeffs(theta, m_max, q) == reference_rotation_coeffs(theta, m_max, q)
 
 
 def annihilator_element(p):
