@@ -13,7 +13,10 @@ code is 1 if any does.
 Usage: python scripts/same_outputs.py OLD_SRC NEW_SRC [seeds...]
 
 OLD_SRC and NEW_SRC are directories that hold the `cyclonorm` package, such
-as the `src/` of two checkouts.
+as the `src/` of two checkouts.  Each tree must be the one imported: a
+directory without the package, or a package that loads from elsewhere (an
+installed copy), ends the run with exit code 2 and a line naming the
+directory.
 """
 
 import contextlib
@@ -38,12 +41,17 @@ def digest(data) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_ops(src: str, workdir: str, seeds) -> None:
+def run_ops(src: str, workdir: str, seeds) -> int:
     """Child side: print one JSON line per op with the digests of its outcome
-    and the text of its output files."""
+    and the text of its output files.  Returns 2, before any op, when
+    `cyclonorm` is not imported from src."""
     sys.path[:0] = [src, str(PERFBENCH)]
     from cyclonorm import cli
     import workloads
+
+    if pathlib.Path(src) not in pathlib.Path(cli.__file__).resolve().parents:
+        print(f"cyclonorm was imported from {cli.__file__}, not from {src}", file=sys.stderr)
+        return 2
 
     for workload in workloads.WORKLOADS:
         for seed in seeds:
@@ -70,6 +78,11 @@ def run_ops(src: str, workdir: str, seeds) -> None:
                     "stdout": digest(out.getvalue()), "stderr": digest(err.getvalue()),
                     "files": files, "texts": texts,
                 }), flush=True)
+    return 0
+
+
+class WrongTree(Exception):
+    """A source tree is not the one the child imported."""
 
 
 def outcomes(src: str, workdir: str, seeds) -> dict:
@@ -77,25 +90,33 @@ def outcomes(src: str, workdir: str, seeds) -> dict:
     pathlib.Path(workdir).mkdir()
     proc = subprocess.run(
         [sys.executable, __file__, "--child", src, workdir] + [str(s) for s in seeds],
-        stdout=subprocess.PIPE, text=True, check=True)
+        stdout=subprocess.PIPE, text=True)
+    if proc.returncode == 2:
+        raise WrongTree(src)
+    proc.check_returncode()
     rows = [json.loads(line) for line in proc.stdout.splitlines()]
     return {row.pop("op"): row for row in rows}
 
 
 def main(argv) -> int:
     if argv[:1] == ["--child"]:
-        run_ops(argv[1], argv[2], [int(s) for s in argv[3:]])
-        return 0
+        return run_ops(argv[1], argv[2], [int(s) for s in argv[3:]])
     if len(argv) < 2:
         print(__doc__, file=sys.stderr)
         return 2
     old_src, new_src = (str(pathlib.Path(a).resolve()) for a in argv[:2])
+    for src in (old_src, new_src):
+        if not (pathlib.Path(src) / "cyclonorm" / "cli.py").is_file():
+            print(f"no cyclonorm package under {src}", file=sys.stderr)
+            return 2
     seeds = [int(s) for s in argv[2:]] or [1, 2]
     base = tempfile.mkdtemp(prefix="same_outputs_")
     try:
         workdir = str(pathlib.Path(base) / "work")
         old = outcomes(old_src, workdir, seeds)
         new = outcomes(new_src, workdir, seeds)
+    except WrongTree:      # the child has printed the line that says why
+        return 2
     finally:
         shutil.rmtree(base, ignore_errors=True)
     differ = 0

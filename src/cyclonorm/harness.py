@@ -449,7 +449,8 @@ def cmd_search(cfg: RunConfig) -> Report:
     report.add("search-accounting", "visited-pairs-match-totient-count",
                visited == expected, {"p": p, "bound": bound},
                {"visited": visited, "expected": expected})
-    report.add("trivial-instance-excluded", "unit-scale-instance-noted", True,
+    report.add("trivial-instance-excluded", "unit-scale-instance-noted",
+               equation_value(p, 1, 1) == 1,
                {"p": p}, {"instance": [1, 1, 1, 0]},
                note="(1,1,1,e=0) satisfies the equation for every p; excluded as unit-scale")
 
@@ -472,7 +473,9 @@ def cmd_search(cfg: RunConfig) -> Report:
                    data.all_identity_checks,
                    {"p": p, "x": x, "y": y, "z": z, "e": e},
                    {"norm": data.alpha.norm()})
-    report.add("search-hits", "exhaustive-scan-results", True,
+    report.add("search-hits", "exhaustive-scan-results",
+               all(equation_value(p, x, y) == p ** e * z ** zq
+                   and math.gcd(math.gcd(x, y), z) == 1 for x, y, z, e in hits),
                {"p": p, "q": zq, "bound": bound, "e": list(es)},
                {"count": len(hits), "hits": validated})
     return report
@@ -517,7 +520,9 @@ def cmd_pipeline(cfg: RunConfig) -> Report:
     try:
         ann = construct_weight2_annihilator(ctx)
         theta = ann.element
-        report.add("exponent-element", "weight-two-zero-quotient-driver", True,
+        w = weights(theta)
+        report.add("exponent-element", "weight-two-zero-quotient-driver",
+                   w.relative == 2 and w.nonnegative and fermat_quotient(ctx, theta) == 0,
                    {"p": p}, {"element": theta, "recipe": ann.recipe})
     except ConstructionFailed as exc:
         theta = fueter(ctx, 1).scale(2)
@@ -651,7 +656,8 @@ def _pipeline_true_solution(cfg: RunConfig, report: Report) -> Report:
                arithmetic="mod lambda^2" if e == 0 else f"mod lambda^{max(p - 2, 1)}")
 
     lam_digits = lambda_expand(alpha, 6, balanced=True)
-    report.add("uniformizer-digits", "balanced-digit-expansion-of-alpha", True,
+    report.add("uniformizer-digits", "balanced-digit-expansion-of-alpha",
+               congruent_mod_uniformizer_power(lam_digits.partial_sum(), alpha, 6),
                {"p": p}, {"digits": list(lam_digits.digits),
                           "terminated": lam_digits.terminated})
     return report

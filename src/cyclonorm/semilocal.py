@@ -13,7 +13,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple, Union
+from typing import Iterable, List, Sequence, Tuple, Union
 
 from .cyclotomic import CycloInt, basis_product, cofactor_product, galois_coords, power, zeta_shift
 from .group_ring import is_prime, prime_power_split
@@ -103,7 +103,8 @@ class SemilocalElement:
 def sl_embed(p: int, value: Union[int, Fraction, CycloInt], modulus: int) -> SemilocalElement:
     """Diagonal embedding of an exact value, reducing coordinates mod modulus.
 
-    Rational inputs need a denominator prime to the modulus.
+    Rational inputs need a denominator prime to the modulus; only `Fraction`
+    coordinates are inverted, integer ones go in as they are.
     """
     if isinstance(value, CycloInt):
         if value.p != p:
@@ -113,10 +114,23 @@ def sl_embed(p: int, value: Union[int, Fraction, CycloInt], modulus: int) -> Sem
         coords = (-value,) * (p - 1)
     out = []
     for c in coords:
-        if math.gcd(c.denominator, modulus) != 1:
-            raise ZeroDivisionError("denominator shares a factor with the modulus")
-        out.append(c.numerator * pow(c.denominator, -1, modulus))
+        if isinstance(c, Fraction):
+            if math.gcd(c.denominator, modulus) != 1:
+                raise ZeroDivisionError("denominator shares a factor with the modulus")
+            c = c.numerator * pow(c.denominator, -1, modulus)
+        out.append(c)
     return SemilocalElement(p, modulus, tuple(out))
+
+
+def sl_combination(p: int, modulus: int,
+                   terms: Iterable[Tuple[Sequence[int], int]]) -> SemilocalElement:
+    """sum of s v over the pairs (v, s) of an integer coordinate vector v on
+    zeta..zeta^{p-1} and an integer scalar s, reduced once mod modulus."""
+    acc = [0] * (p - 1)
+    for v, s in terms:
+        if s:
+            acc = [a + s * c for a, c in zip(acc, v)]
+    return SemilocalElement(p, modulus, tuple(acc))
 
 
 # -- y-adic digits in the balanced system ------------------------------------------
@@ -129,12 +143,8 @@ class YDigits:
     digits: Tuple[CycloInt, ...]
 
     def assemble(self, modulus: int) -> SemilocalElement:
-        acc = SemilocalElement(self.p, modulus, (0,) * (self.p - 1))
-        power = 1
-        for d in self.digits:
-            acc = acc + sl_embed(self.p, d, modulus).scale(power)
-            power *= self.base
-        return acc
+        return sl_combination(self.p, modulus, ((d.coords, self.base ** h)
+                                                for h, d in enumerate(self.digits)))
 
 
 def in_balanced_set(t: CycloInt, y: int) -> bool:
@@ -335,21 +345,6 @@ def factor_phi(r: int, p: int) -> LocalFactorization:
     return LocalFactorization(r, p, tuple(map(tuple, factors)))
 
 
-def poly_to_coords(poly: Sequence[int], p: int, m: int) -> SemilocalElement:
-    coords = [0] * (p - 1)
-    const = 0
-    for e, c in enumerate(poly):
-        if e == 0:
-            const = c
-        elif e <= p - 1:
-            coords[e - 1] = c % m
-        else:
-            raise ValueError("degree too large")
-    if const:
-        coords = [(c - const) % m for c in coords]
-    return SemilocalElement(p, m, tuple(coords))
-
-
 # -- roots of unity -----------------------------------------------------------------
 
 
@@ -383,7 +378,8 @@ def root_slots(p: int, y: int, precision: int) -> List[Tuple[SemilocalElement, L
         cofactor = modulus // r_part
         unit = cofactor * pow(cofactor, -1, r_part)
         for psi in fact.factors:
-            e = sl_embed(p, 1, r) - poly_to_coords(psi, p, r) ** (r ** fact.residue_degree - 1)
+            psi_zeta = SemilocalElement(p, r, CycloInt.from_polynomial(p, psi).coords)
+            e = sl_embed(p, 1, r) - psi_zeta ** (r ** fact.residue_degree - 1)
             idem = SemilocalElement(p, modulus, e.poly).scale(unit)
             for _ in range((a * precision).bit_length()):
                 sq = idem * idem
@@ -394,10 +390,7 @@ def root_slots(p: int, y: int, precision: int) -> List[Tuple[SemilocalElement, L
             for _ in range(p - 1):
                 x_powers.append(_poly_mod([0] + x_powers[-1], psi, r))
             slots.append((idem, sorted(range(p), key=x_powers.__getitem__)))
-    total = SemilocalElement(p, modulus, (0,) * (p - 1))
-    for idem, _ in slots:
-        total = total + idem
-    if not total.is_one():
+    if not sl_combination(p, modulus, ((idem.poly, 1) for idem, _ in slots)).is_one():
         raise ArithmeticError("factor idempotents do not sum to 1")
     return slots
 
@@ -417,11 +410,11 @@ def synthetic_root_of_unity(p: int, y: int, precision: int, seed: int = 0) -> Se
     globals_ = global_pth_root_embeddings(p, modulus)
 
     def build(selection: int) -> SemilocalElement:
-        rho = SemilocalElement(p, modulus, (0,) * (p - 1))
+        terms = []
         for idem, ks in slots:
-            rho = rho + SemilocalElement(p, modulus, zeta_shift(p, idem.poly, ks[selection % p]))
-            selection //= p
-        return rho
+            selection, k = divmod(selection, p)
+            terms.append((zeta_shift(p, idem.poly, ks[k]), 1))
+        return sl_combination(p, modulus, terms)
 
     limit = min(p ** len(slots), 5000)
     offset = seed % limit

@@ -24,7 +24,9 @@ product of the series packed into slots (Kronecker substitution).
 
 Also here: semilocal evaluation with stability certificates, the double
 digit table feeding the perturbation algorithm, and the ramified-case
-congruence sums.
+congruence sums.  Every semilocal sum (a series at T = y/x, a reassembled
+digit table) is one integer linear combination of coordinate vectors,
+reduced once mod y^N (`semilocal.sl_combination`).
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from .semilocal import (
     SemilocalElement,
     YDigits,
     in_balanced_set,
-    sl_embed,
+    sl_combination,
     y_digits,
 )
 
@@ -356,12 +358,10 @@ def _sl_partial(table: SeriesTable, x: int, y: int, n_terms: int, prec: int) -> 
     m = y ** prec
     inv_x = pow(x % m, -1, m)
     inv_q = pow(table.q % m, -1, m)
-    acc = SemilocalElement(table.p, m, (0,) * (table.p - 1))
-    for n in range(min(n_terms, table.order + 1)):
-        e = denominator_exponent(n, table.q)
-        scalar = pow(inv_q, e, m) * pow(inv_x, n, m) * pow(y, n, m) % m
-        acc = acc + sl_embed(table.p, table.numerators[n], m).scale(scalar)
-    return acc
+    return sl_combination(table.p, m, (
+        (table.numerators[n].coords,
+         pow(inv_q, denominator_exponent(n, table.q), m) * pow(inv_x, n, m) * pow(y, n, m) % m)
+        for n in range(min(n_terms, table.order + 1))))
 
 
 def sl_eval(table: SeriesTable, x: int, y: int, precision: int) -> SemilocalSum:
@@ -427,22 +427,26 @@ class DoubleTable:
         return sorted(self.entries.keys(), key=lambda nh: (nh[0] + nh[1], nh[1]))
 
 
+def _digit_rows(table: SeriesTable, rho: SemilocalElement, x: int, y: int,
+                depth: int) -> List[SemilocalElement]:
+    """Row n = rho * a'_n * x^{-n} mod y^{depth+1}, for n = 0..depth."""
+    modulus = y ** (depth + 1)
+    rho_m = rho.reduce_to(modulus)
+    inv_x = pow(x % modulus, -1, modulus)
+    return [(rho_m * SemilocalElement(table.p, modulus, num.coords)).scale(pow(inv_x, n, modulus))
+            for n, num in enumerate(table.numerators[:depth + 1])]
+
+
 def double_table(table: SeriesTable, rho: SemilocalElement, x: int, y: int,
                  depth: int) -> DoubleTable:
     """Digit table b_{n,h} for all pairs with n + h <= depth."""
-    modulus = y ** (depth + 1)
-    if rho.modulus % modulus != 0:
+    if rho.modulus % y ** (depth + 1) != 0:
         raise ValueError("root of unity carries insufficient precision")
     if table.order < depth:
         raise ValueError("series table too short for the requested depth")
-    rho_m = rho.reduce_to(modulus) if rho.modulus != modulus else rho
-    inv_x = pow(x % modulus, -1, modulus)
     entries: Dict[Tuple[int, int], CycloInt] = {}
-    for n in range(depth + 1):
-        row = rho_m * sl_embed(table.p, table.numerators[n], modulus)
-        row = row.scale(pow(inv_x, n, modulus))
-        digits = y_digits(row, depth + 1 - n, y)
-        for h, digit in enumerate(digits.digits):
+    for n, row in enumerate(_digit_rows(table, rho, x, y, depth)):
+        for h, digit in enumerate(y_digits(row, depth + 1 - n, y).digits):
             entries[(n, h)] = digit
     return DoubleTable(table.p, table.q, x, y, depth, rho, entries)
 
@@ -456,7 +460,7 @@ def reassemble(dtable: DoubleTable, entries: Mapping[Tuple[int, int], CycloInt],
     """
     m = dtable.y ** precision
     inv_q = pow(dtable.q % m, -1, m)
-    acc = SemilocalElement(dtable.p, m, (0,) * (dtable.p - 1))
+    terms = []
     for (n, h), digit in entries.items():
         if n + h >= precision:
             continue
@@ -464,8 +468,8 @@ def reassemble(dtable: DoubleTable, entries: Mapping[Tuple[int, int], CycloInt],
         d = divisors.get((n, h), 1)
         if d != 1:
             scalar = scalar * pow(d, -1, m) % m
-        acc = acc + sl_embed(dtable.p, digit, m).scale(scalar)
-    return acc
+        terms.append((digit.coords, scalar))
+    return sl_combination(dtable.p, m, terms)
 
 
 def reassembly_check(dtable: DoubleTable, table: SeriesTable, cutoff: int) -> bool:
@@ -479,15 +483,11 @@ def reassembly_check(dtable: DoubleTable, table: SeriesTable, cutoff: int) -> bo
 def digit_rows_check(dtable: DoubleTable, table: SeriesTable) -> bool:
     """Row definition: digits of row n reassemble rho * a'_n * x^{-n}."""
     m = dtable.y ** (dtable.depth + 1)
-    rho_m = dtable.rho.reduce_to(m)
-    inv_x = pow(dtable.x % m, -1, m)
-    for n in range(dtable.depth + 1):
-        row = rho_m * sl_embed(dtable.p, table.numerators[n], m)
-        row = row.scale(pow(inv_x, n, m))
-        digits = [dtable.entries[(n, h)] for h in range(dtable.depth + 1 - n)]
-        partial = YDigits(dtable.p, dtable.y, tuple(digits)).assemble(m)
+    rows = _digit_rows(table, dtable.rho, dtable.x, dtable.y, dtable.depth)
+    for n, row in enumerate(rows):
         k = dtable.depth + 1 - n
-        diff = row - partial
+        digits = [dtable.entries[(n, h)] for h in range(k)]
+        diff = row - YDigits(dtable.p, dtable.y, tuple(digits)).assemble(m)
         if any(c % dtable.y ** k for c in diff.poly):
             return False
         if not all(in_balanced_set(d, dtable.y) for d in digits):

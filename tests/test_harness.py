@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -7,6 +8,7 @@ import pytest
 from cyclonorm import cli, harness
 from cyclonorm.harness import RunConfig, cmd_identities, cmd_pipeline, cmd_search, write_report
 from cyclonorm.cli import main
+from cyclonorm.group_ring import GroupRingElement
 
 
 def test_config_validation():
@@ -227,6 +229,76 @@ def test_bound_clash_record_reads_the_verdict(monkeypatch):
     # in the paper's regime the verdict is a contradiction
     for y in (87, 91, 101):
         assert harness.lattice.bound_clash(43, y, max(2 * 43 + 1, y - 1), 4).contradiction
+
+
+def _record(report, name):
+    return next(r for r in report.records if r.name == name)
+
+
+def test_uniformizer_digits_record_fails_on_a_wrong_digit(monkeypatch):
+    # moving the last of the six digits by 1 moves the partial sum by
+    # lambda^5, so it is no longer alpha mod lambda^6
+    real = harness.lambda_expand
+
+    def shifted(w, digits, balanced=True):
+        lam = real(w, digits, balanced)
+        return dataclasses.replace(lam, digits=lam.digits[:-1] + (lam.digits[-1] + 1,))
+
+    assert _record(cmd_pipeline(RunConfig("pipeline", p=3, x=19, y=18)),
+                   "uniformizer-digits").status == "pass"
+    monkeypatch.setattr(harness, "lambda_expand", shifted)
+    rep = cmd_pipeline(RunConfig("pipeline", p=3, x=19, y=18))
+    assert _record(rep, "uniformizer-digits").status == "fail"
+
+
+@pytest.mark.parametrize("wrong", ["relative-weight", "negative-coefficient", "quotient"])
+def test_exponent_element_record_fails_on_a_wrong_element(monkeypatch, wrong):
+    # at p = 11 the element comes from a recipe; each replacement breaks
+    # one of relative weight 2, nonnegativity and Fermat quotient 0
+    real = harness.construct_weight2_annihilator
+
+    def tampered(ctx):
+        ann = real(ctx)
+        p = ctx.p
+        if wrong == "relative-weight":
+            element = ann.element.scale(3)
+        elif wrong == "negative-coefficient":       # same weight and quotient
+            twist = GroupRingElement.sigma(p, 1) - GroupRingElement.sigma(p, p - 1)
+            element = ann.element + twist.scale(p)
+        else:
+            element = harness.fueter(ctx, 1).scale(2)     # quotient 9 at p = 11
+        return dataclasses.replace(ann, element=element)
+
+    monkeypatch.setattr(harness, "construct_weight2_annihilator", tampered)
+    rep = cmd_pipeline(RunConfig("pipeline", p=11, x=2, y=25))
+    assert _record(rep, "exponent-element").status == "fail"
+
+
+def test_search_hits_record_fails_on_a_wrong_hit(monkeypatch):
+    # with q = 2 != p the hits skip the characteristic data, so a wrong z
+    # reaches the record
+    rep = cmd_search(RunConfig("search", p=3, q=2, bound=10))
+    assert _record(rep, "search-hits").outputs["count"] > 0
+    assert _record(rep, "search-hits").status == "pass"
+    real = harness.linalg.is_perfect_power
+
+    def off_by_one(n, k):
+        z = real(n, k)
+        return None if z is None else z + 1
+
+    monkeypatch.setattr(harness.linalg, "is_perfect_power", off_by_one)
+    rep = cmd_search(RunConfig("search", p=3, q=2, bound=10))
+    assert _record(rep, "search-hits").status == "fail"
+
+
+def test_trivial_instance_record_fails_on_a_wrong_value(monkeypatch):
+    # (1, 1) is never visited by the scan, so only the record sees the change
+    real = harness.equation_value
+    monkeypatch.setattr(harness, "equation_value",
+                        lambda p, x, y: real(p, x, y) + (x == y == 1))
+    rep = cmd_search(RunConfig("search", p=5, bound=5))
+    assert _record(rep, "trivial-instance-excluded").status == "fail"
+    assert _record(rep, "search-accounting").status == "pass"
 
 
 def test_report_files_byte_stable(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 
@@ -227,6 +228,25 @@ def test_perturbation_on_genuine_table():
     assert sum_preservation_check(mt, 5)
     worst, ok = mt.sup_certificate()
     assert ok
+
+
+def test_sum_preservation_fails_on_a_moved_entry():
+    # after a pass with perturbation steps, moving one coordinate of any one
+    # entry below the precision changes the perturbed sum
+    p, precision = 5, 5
+    mt = perturb_for_independence(synthetic_table(p, 106, 3, 5, seed=0))
+    assert mt.divisors and sum_preservation_check(mt, precision)
+    rng = random.Random(14)
+    checked = 0
+    for (n, h), entry in mt.entries.items():
+        if n + h >= precision:
+            continue
+        i = rng.randrange(p - 1)
+        coords = entry.coords[:i] + (entry.coords[i] + 1,) + entry.coords[i + 1:]
+        moved = dataclasses.replace(mt, entries={**mt.entries, (n, h): CycloInt(p, coords)})
+        assert not sum_preservation_check(moved, precision)
+        checked += 1
+    assert checked >= len(mt.divisors)
 
 
 def test_perturbation_synthetic_tables_certificates():

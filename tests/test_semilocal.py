@@ -1,8 +1,9 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from cyclonorm.cyclotomic import CycloInt, zeta_shift
 from cyclonorm.group_ring import is_prime
@@ -24,9 +25,9 @@ from cyclonorm.semilocal import (
     global_pth_root_embeddings,
     in_balanced_set,
     multiplicative_order,
-    poly_to_coords,
     prime_power_split,
     root_slots,
+    sl_combination,
     sl_embed,
     synthetic_root_of_unity,
     y_digits,
@@ -82,9 +83,48 @@ def test_embedding_examples():
     assert (v * v.inverse()).is_one()
     with pytest.raises(ZeroDivisionError):
         sl_embed(5, 11, 11 ** 2).inverse()
-    from fractions import Fraction
     w = sl_embed(5, Fraction(1, 7), 11 ** 2)
     assert (w * v).is_one()
+
+
+def test_embedding_inverts_only_fraction_coordinates():
+    # integer coordinates go in as they are, also those sharing a factor
+    # with the modulus; a Fraction denominator must be prime to it
+    m = 2 ** 5 * 11 ** 2
+    t = CycloInt(5, (22, -10 ** 30, 0, 7))
+    assert sl_embed(5, t, m).poly == tuple(c % m for c in t.coords)
+    assert sl_embed(5, 44, m).poly == ((-44) % m,) * 4
+    assert sl_embed(5, CycloInt(5, (Fraction(1, 3), 0, 1, 2)), m).poly[0] == pow(3, -1, m)
+    for bad in (Fraction(1, 11), CycloInt(5, (1, Fraction(5, 2), 0, 0))):
+        with pytest.raises(ZeroDivisionError):
+            sl_embed(5, bad, m)
+
+
+def reference_combination(p, modulus, terms):
+    """The object route: embed, scale and add one element at a time."""
+    acc = SemilocalElement(p, modulus, (0,) * (p - 1))
+    for v, s in terms:
+        acc = acc + sl_embed(p, CycloInt(p, tuple(v)), modulus).scale(s)
+    return acc
+
+
+_coordinate = st.one_of(st.integers(-50, 50), st.integers(-10 ** 30, 10 ** 30))
+_scalar = st.one_of(st.just(0), st.integers(-10 ** 6, 10 ** 6), st.integers(10 ** 40, 10 ** 45))
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.sampled_from([3, 5, 7, 13]),
+       modulus=st.one_of(st.just(2), st.integers(2, 10 ** 6), st.integers(10 ** 30, 10 ** 40)),
+       terms=st.lists(st.tuples(st.lists(_coordinate, min_size=12, max_size=12), _scalar),
+                      max_size=8))
+@example(p=5, modulus=2, terms=[])
+@example(p=3, modulus=2, terms=[([1, -1] + [0] * 10, 3), ([10 ** 30, -(10 ** 30)] + [0] * 10, 0)])
+@example(p=7, modulus=11 ** 3, terms=[([-5] * 12, 11 ** 3), ([7] * 12, 11 ** 3 + 1)])
+def test_combination_matches_the_object_route(p, modulus, terms):
+    terms = [(tuple(v[:p - 1]), s) for v, s in terms]
+    got = sl_combination(p, modulus, terms)
+    assert got == reference_combination(p, modulus, terms)
+    assert all(0 <= c < modulus for c in got.poly)
 
 
 def test_embedding_equivariance_bulk():
@@ -231,7 +271,8 @@ def reference_crt(residues, factors, r, precision, p):
         inv = reference_lift_inverse(others, factors[j], r, precision)
         term = _poly_mod(_poly_mul(res, inv, m), factors[j], m)
         total = _poly_add(total, _poly_mul(term, others, m), m)
-    return poly_to_coords(_poly_mod(total, _cyclotomic_poly(p), m), p, m)
+    coords = CycloInt.from_polynomial(p, _poly_mod(total, _cyclotomic_poly(p), m)).coords
+    return SemilocalElement(p, m, coords)
 
 
 def reference_int_crt(pairs):

@@ -477,6 +477,37 @@ def test_double_table_rows_and_reassembly():
         assert dt.entry(0, 0) == rho_digits.digits[0]
 
 
+def _moved(t, i, y):
+    """t with coordinate i moved by 1, kept inside (-y/2, y/2] when it was."""
+    c = t.coords[i] + (1 if 2 * (t.coords[i] + 1) <= y else -1)
+    return CycloInt(t.p, t.coords[:i] + (c,) + t.coords[i + 1:])
+
+
+def test_digit_checks_fail_on_a_moved_digit():
+    # every digit counts: moving one coordinate of any one digit, inside
+    # the balanced set, breaks its row, and breaks the reassembled sum
+    # exactly when the digit's order y^(n+h) lies below the cutoff
+    p, y, x, depth, cutoff = 5, 22, 3, 5, 4
+    tab = binom_coeffs(fueter(StickelbergerContext(p), 1).scale(2), 8, full=True)
+    dt = double_table(tab, synthetic_root_of_unity(p, y, depth + 1), x, y, depth)
+    assert digit_rows_check(dt, tab) and reassembly_check(dt, tab, cutoff)
+    rng = random.Random(14)
+    for (n, h), digit in dt.entries.items():
+        entries = {**dt.entries, (n, h): _moved(digit, rng.randrange(p - 1), y)}
+        moved = dataclasses.replace(dt, entries=entries)
+        assert not digit_rows_check(moved, tab)
+        assert reassembly_check(moved, tab, cutoff) == (n + h >= cutoff)
+
+
+def test_equivariance_check_fails_on_a_moved_numerator():
+    p = 5
+    tab = binom_coeffs(fueter(StickelbergerContext(p), 1), 6, full=True)
+    assert equivariance_check(tab, 3, 11, 4)
+    for n, num in enumerate(tab.numerators):
+        nums = tab.numerators[:n] + (_moved(num, n % (p - 1), 10 ** 9),) + tab.numerators[n + 1:]
+        assert not equivariance_check(dataclasses.replace(tab, numerators=nums), 3, 11, 4)
+
+
 def test_double_table_requires_precision():
     p = 5
     tab = binom_coeffs(fueter(StickelbergerContext(p), 1), 4, full=True)
