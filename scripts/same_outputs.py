@@ -1,14 +1,20 @@
 #!/usr/bin/env python3
-"""Check that two source trees give the same outputs on every benchmark op.
+"""Check that two source trees give the same outputs on every benchmark op
+and on a fixed list of further commands.
 
 For each tree, one subprocess runs every op that `perfbench/workloads.build`
 makes for the three workloads and the given seeds (default 1 and 2) through
-`cyclonorm.cli.main`, in one process as the benchmark does.  Both trees run
-in the same work directory, because a report records its `--out` path.  Each
-op is summed up by the SHA-256 of its output files, stdout and stderr, and
-its exit code or exception.  Every op whose summary differs is printed, with
-the first differing lines of each output file that differs, and the exit
-code is 1 if any does.
+`cyclonorm.cli.main`, in one process as the benchmark does.  It then runs
+each command of EXTRA_COMMANDS once, with `--out` in the work directory.
+Those reach paths that no benchmark op reaches: the p = 3 search, the p = 3
+pipelines (e = 0, and e = 1 with its division by 1 - zeta) and the search
+with a second prime q.
+
+Both trees run in the same work directory, because a report records its
+`--out` path.  Each op is summed up by the SHA-256 of its output files,
+stdout and stderr, and its exit code or exception.  Every op whose summary
+differs is printed, with the first differing lines of each output file that
+differs, and the exit code is 1 if any does.
 
 Usage: python scripts/same_outputs.py OLD_SRC NEW_SRC [seeds...]
 
@@ -33,12 +39,41 @@ from collections import Counter
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 DIFF_LINES = 8   # diff lines, headers included, shown per differing output file
+EXTRA_COMMANDS = [
+    ["search", "--p", "3", "--bound", "50"],
+    ["search", "--p", "5", "--q", "7", "--bound", "60"],
+    ["pipeline", "--p", "3", "--x", "19", "--y", "18"],
+    ["pipeline", "--p", "3", "--x", "2", "--y", "1"],
+]
 
 
 def digest(data) -> str:
     if isinstance(data, str):
         data = data.encode("utf-8")
     return hashlib.sha256(data).hexdigest()
+
+
+def run_op(main, label: str, argv, outputs) -> None:
+    """Run one op through `main` and print its JSON line."""
+    out, err = io.StringIO(), io.StringIO()
+    raised = None
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    except Exception as exc:  # a crash is an outcome to compare
+        code, raised = None, f"{type(exc).__name__}: {exc}"
+    files, texts = {}, {}
+    for path in outputs:
+        p = pathlib.Path(path)
+        files[p.name] = digest(p.read_bytes()) if p.exists() else None
+        texts[p.name] = p.read_text(encoding="utf-8") if p.exists() else ""
+    print(json.dumps({
+        "op": label, "code": code, "raised": raised,
+        "stdout": digest(out.getvalue()), "stderr": digest(err.getvalue()),
+        "files": files, "texts": texts,
+    }), flush=True)
 
 
 def run_ops(src: str, workdir: str, seeds) -> int:
@@ -58,26 +93,14 @@ def run_ops(src: str, workdir: str, seeds) -> int:
             opdir = pathlib.Path(workdir) / f"{workload}_{seed}"
             opdir.mkdir()
             for i, op in enumerate(workloads.build(workload, seed, str(opdir))):
-                out, err = io.StringIO(), io.StringIO()
-                raised = None
-                try:
-                    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                        code = cli.main(op.argv)
-                except SystemExit as exc:
-                    code = exc.code
-                except Exception as exc:  # a crash is an outcome to compare
-                    code, raised = None, f"{type(exc).__name__}: {exc}"
-                files, texts = {}, {}
-                for path in op.outputs:
-                    p = pathlib.Path(path)
-                    files[p.name] = digest(p.read_bytes()) if p.exists() else None
-                    texts[p.name] = p.read_text(encoding="utf-8") if p.exists() else ""
-                print(json.dumps({
-                    "op": f"{workload} seed={seed} #{i:02d} {op.label}",
-                    "code": code, "raised": raised,
-                    "stdout": digest(out.getvalue()), "stderr": digest(err.getvalue()),
-                    "files": files, "texts": texts,
-                }), flush=True)
+                run_op(cli.main, f"{workload} seed={seed} #{i:02d} {op.label}",
+                       op.argv, op.outputs)
+    opdir = pathlib.Path(workdir) / "extra"
+    opdir.mkdir()
+    for i, argv in enumerate(EXTRA_COMMANDS):
+        base = str(opdir / f"{i:02d}")
+        run_op(cli.main, f"extra #{i:02d} {' '.join(argv)}", argv + ["--out", base],
+               [base + ".json", base + ".tsv"])
     return 0
 
 

@@ -89,14 +89,14 @@ def main(argv=None) -> int:
         try:
             rows = lattice.read_matrix(args.matrix)
             witness = lattice.siegel_solve(rows, len(rows[0]), args.bound)
+            if args.out:
+                lattice.write_witness(args.out, witness)
         except (ValueError, OSError) as exc:
             print(f"invalid input: {exc}", file=sys.stderr)
             return 2
         except lattice.SolverIncomplete as exc:
             print(f"no admissible vector: {exc}", file=sys.stderr)
             return 1
-        if args.out:
-            lattice.write_witness(args.out, witness)
         print(" ".join(str(x) for x in witness))
         return 0
 
@@ -109,7 +109,10 @@ def main(argv=None) -> int:
     try:
         # looked up at call time, so a rebound cmd_* (a tracer, a test) is used
         result = globals()[f"cmd_{args.command}"](cfg)
-    except (ValueError, FileNotFoundError) as exc:
+        # the report files are written before anything is printed, so an
+        # unwritable --out prints only the refusal
+        written = write_report(result, cfg.out) if cfg.out and args.command != "report" else []
+    except (ValueError, OSError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
 
@@ -118,9 +121,8 @@ def main(argv=None) -> int:
             print(path)
         return 0
     sys.stdout.write(result.to_tsv())
-    if cfg.out:
-        for path in write_report(result, cfg.out):
-            print(f"wrote {path}")
+    for path in written:
+        print(f"wrote {path}")
     return 0 if result.ok else 1
 
 

@@ -1,49 +1,38 @@
-"""Exact arithmetic in Z[zeta] and Q(zeta) for a primitive p-th root of unity.
+"""Exact arithmetic in Z[zeta] for a primitive p-th root of unity.
 
-Elements are coordinate vectors in the normal power basis {zeta, zeta^2, ...,
-zeta^{p-1}}; the constant 1 is represented through sum_c zeta^c = -1.  All
-ring arithmetic is exact; archimedean magnitudes are the only place floating
-point appears and they carry a two-precision certificate.
+Elements are integer coordinate vectors in the normal power basis {zeta,
+zeta^2, ..., zeta^{p-1}}, a Z-basis of Z[zeta]; the constant 1 is
+represented through sum_c zeta^c = -1.  All ring arithmetic is exact;
+archimedean magnitudes are the only place floating point appears and they
+carry a two-precision certificate.
 
-A CycloInt coordinate is a plain int whenever its value is integral and a
-Fraction only when it is not, so integral elements never touch Fraction.
-The coordinate kernels below (basis product, Galois permutation,
-rotation by a power of zeta, square-and-multiply, cofactor product) serve
-both CycloInt and the semilocal rings Z_y[zeta], which share the basis.
+A CycloInt coordinate is always a plain int: the ring is Z[zeta], not
+Q(zeta), so there is no inverse, and division by lambda = 1 - zeta is exact
+or refused.  The coordinate kernels below (basis product, Galois
+permutation, rotation by a power of zeta, square-and-multiply) serve both
+CycloInt and the semilocal rings Z_y[zeta], which share the basis; the
+cofactor product gives the semilocal norm and inverse.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple
 
 import mpmath
 
 from .group_ring import GroupRingElement, is_prime
 from . import linalg
 
-Scalar = Union[int, Fraction]
-
-
-def _all_int(coords: Sequence) -> bool:
-    return set(map(type, coords)) <= {int}
-
-
-def _as_scalar(x) -> Scalar:
-    if isinstance(x, Fraction) and x.denominator == 1:
-        return int(x)
-    return x
-
-
 # -- coordinate kernels on {zeta..zeta^{p-1}} ---------------------------------------
 
 
 def basis_product(p: int, a: Sequence, b: Sequence) -> Tuple:
     """Coordinates of (sum a_i zeta^i)(sum b_j zeta^j), folding zeta^p = 1 and
-    sum_c zeta^c = -1; the same loop serves int, Fraction and residue entries."""
+    sum_c zeta^c = -1; the same loop serves integer and residue entries."""
     acc = [0] * (2 * p)                # indexed by i + j, 2 <= i + j <= 2p - 2
     for i, ai in enumerate(a, 1):
         if ai:
@@ -83,6 +72,8 @@ def zeta_shift(p: int, coords: Sequence, k: int) -> Tuple:
 
 def power(x, n: int, one):
     """x^n for n >= 0 by square-and-multiply; n = 0 gives `one`."""
+    if n < 0:
+        raise ValueError(f"negative exponent {n}")
     result = None
     while n:
         if n & 1:
@@ -103,18 +94,23 @@ def cofactor_product(x):
 
 @dataclass(frozen=True)
 class CycloInt:
-    """Element of Q(zeta_p) with exact coordinates in the basis {zeta..zeta^{p-1}}."""
+    """Element of Z[zeta_p]: integer coordinates in the basis {zeta..zeta^{p-1}}.
+
+    Coordinates are stored as a tuple of ints; anything else that is an
+    integer (a bool, a numpy integer) is converted, and a coordinate that is
+    not an integer (a Fraction, a float) raises TypeError.
+    """
 
     p: int
-    coords: Tuple[Scalar, ...]
+    coords: Tuple[int, ...]
 
     def __post_init__(self):
         if not is_prime(self.p) or self.p < 3:
             raise ValueError(f"p must be an odd prime, got {self.p}")
         if len(self.coords) != self.p - 1:
             raise ValueError("coordinate vector must have length p-1")
-        if type(self.coords) is not tuple or not _all_int(self.coords):
-            object.__setattr__(self, "coords", tuple(_as_scalar(c) for c in self.coords))
+        if type(self.coords) is not tuple or not set(map(type, self.coords)) <= {int}:
+            object.__setattr__(self, "coords", tuple(map(operator.index, self.coords)))
 
     # -- constructors --------------------------------------------------------
 
@@ -123,7 +119,7 @@ class CycloInt:
         return cls(p, (0,) * (p - 1))
 
     @classmethod
-    def from_rational(cls, p: int, value: Scalar) -> "CycloInt":
+    def from_rational(cls, p: int, value: int) -> "CycloInt":
         return cls(p, (-value,) * (p - 1))
 
     @classmethod
@@ -136,7 +132,7 @@ class CycloInt:
         return cls(p, tuple(coords))
 
     @classmethod
-    def from_exp_map(cls, p: int, terms: Dict[int, Scalar]) -> "CycloInt":
+    def from_exp_map(cls, p: int, terms: Dict[int, int]) -> "CycloInt":
         """From {exponent mod p: coefficient}; exponent 0 handled via the base."""
         coords = [0] * (p - 1)
         const = 0
@@ -151,13 +147,13 @@ class CycloInt:
         return cls(p, tuple(coords))
 
     @classmethod
-    def from_polynomial(cls, p: int, poly: Sequence[Scalar]) -> "CycloInt":
+    def from_polynomial(cls, p: int, poly: Sequence[int]) -> "CycloInt":
         """From coefficients of 1, zeta, ..., zeta^{deg} (deg <= p-1)."""
         return cls.from_exp_map(p, {i: c for i, c in enumerate(poly)})
 
     # -- structure -----------------------------------------------------------
 
-    def coord(self, c: int) -> Scalar:
+    def coord(self, c: int) -> int:
         """Coefficient of zeta^c, c in 1..p-1."""
         return self.coords[c - 1]
 
@@ -167,13 +163,10 @@ class CycloInt:
     def is_rational(self) -> bool:
         return len(set(self.coords)) == 1
 
-    def as_rational(self) -> Fraction:
+    def as_rational(self) -> int:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return -Fraction(self.coords[0])
-
-    def is_integral(self) -> bool:
-        return all(isinstance(c, int) for c in self.coords)
+        return -self.coords[0]
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -195,32 +188,15 @@ class CycloInt:
     def __neg__(self) -> "CycloInt":
         return CycloInt(self.p, tuple(-a for a in self.coords))
 
-    def scale(self, v: Scalar) -> "CycloInt":
+    def scale(self, v: int) -> "CycloInt":
         return CycloInt(self.p, tuple(v * a for a in self.coords))
 
     def __mul__(self, other: "CycloInt") -> "CycloInt":
         self._check(other)
-        a, da = _over_one_denominator(self.coords)
-        b, db = _over_one_denominator(other.coords)
-        prod = basis_product(self.p, a, b)
-        den = da * db
-        if den == 1:
-            return CycloInt(self.p, prod)
-        return CycloInt(self.p, tuple(c // den if c % den == 0 else Fraction(c, den)
-                                      for c in prod))
+        return CycloInt(self.p, basis_product(self.p, self.coords, other.coords))
 
     def __pow__(self, n: int) -> "CycloInt":
-        if n < 0:
-            return self.inverse() ** (-n)
         return power(self, n, CycloInt.from_rational(self.p, 1))
-
-    def inverse(self) -> "CycloInt":
-        """Exact inverse in Q(zeta): product of the other conjugates over the norm."""
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero")
-        prod = cofactor_product(self)
-        nrm = self * prod
-        return prod.scale(Fraction(1) / nrm.as_rational())
 
     # -- Galois action ---------------------------------------------------------
 
@@ -247,48 +223,31 @@ class CycloInt:
 
     # -- trace, norm, pairing ---------------------------------------------------
 
-    def trace(self) -> Scalar:
-        return _as_scalar(-sum(self.coords))
+    def trace(self) -> int:
+        return -sum(self.coords)
 
-    def norm(self) -> Scalar:
+    def norm(self) -> int:
         """Field norm via the determinant of the multiplication matrix."""
-        a, den = _over_one_denominator(self.coords)
-        rows = [zeta_shift(self.p, a, j) for j in range(1, self.p)]
-        return _as_scalar(Fraction(linalg.bareiss_det(rows), den ** (self.p - 1)))
+        return linalg.bareiss_det([zeta_shift(self.p, self.coords, j) for j in range(1, self.p)])
 
     def __repr__(self) -> str:
         terms = [f"{c}*z^{e}" for e, c in zip(range(1, self.p), self.coords) if c]
         return f"<{' + '.join(terms) if terms else '0'} (p={self.p})>"
 
 
-def _over_one_denominator(coords: Tuple[Scalar, ...]) -> Tuple[Tuple[int, ...], int]:
-    """(integer numerators, d) with coords = numerators / d, d the lcm of the
-    denominators; integral coordinates come back unchanged with d = 1."""
-    if _all_int(coords):
-        return coords, 1
-    den = math.lcm(*(c.denominator for c in coords))
-    return tuple(c.numerator * (den // c.denominator) for c in coords), den
-
-
 # -- coordinate maps ------------------------------------------------------------
 
 
-def kappa(x: CycloInt) -> Tuple[Scalar, ...]:
+def kappa(x: CycloInt) -> Tuple[int, ...]:
     """Coordinates of x with respect to {zeta..zeta^{p-1}} (identity on storage)."""
     return x.coords
 
 
-def kappa_int(x: CycloInt) -> List[int]:
-    if not x.is_integral():
-        raise ValueError("integral coordinates expected")
-    return list(x.coords)
-
-
-def kappa_inv(p: int, vec: Sequence[Scalar]) -> CycloInt:
+def kappa_inv(p: int, vec: Sequence[int]) -> CycloInt:
     return CycloInt(p, tuple(vec))
 
 
-def trace_coordinate_residues(x: CycloInt) -> Tuple[Tuple[Scalar, ...], Tuple[Scalar, ...]]:
+def trace_coordinate_residues(x: CycloInt) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     """Trace-form coordinate extraction, two variants.
 
     Returns (exact, shifted) with
@@ -306,7 +265,7 @@ def trace_coordinate_residues(x: CycloInt) -> Tuple[Tuple[Scalar, ...], Tuple[Sc
     return tuple(exact), tuple(shifted)
 
 
-def trace_pairing(x: CycloInt, y: CycloInt) -> Scalar:
+def trace_pairing(x: CycloInt, y: CycloInt) -> int:
     """Hermitian pairing Tr(x * conj(y))."""
     return (x * y.conj()).trace()
 
@@ -328,8 +287,8 @@ class NormChain:
     is  p^2 |kappa|_sup^2  <=  p * pairing  <=  p^2 (p-1) |kappa|_sup^2.
     """
 
-    sup: Scalar
-    pairing: Scalar
+    sup: int
+    pairing: int
     left_ok: bool
     right_ok: bool
 
@@ -369,24 +328,18 @@ def inverse_uniformizer_numerator(p: int) -> CycloInt:
 
 
 def divide_by_uniformizer(x: CycloInt) -> CycloInt:
-    """Exact division by lambda = 1 - zeta; requires divisibility."""
+    """x/lambda for lambda = 1 - zeta, as x (p/lambda) / p: exact, and a
+    ValueError when lambda does not divide x."""
     p = x.p
-    scaled = x * inverse_uniformizer_numerator(p)
-    out = []
-    for c in scaled.coords:
-        q = Fraction(c) / p
-        out.append(q)
-    res = CycloInt(p, tuple(out))
-    if x.is_integral() and not res.is_integral():
+    scaled = (x * inverse_uniformizer_numerator(p)).coords
+    if any(c % p for c in scaled):
         raise ValueError("element is not divisible by the uniformizer")
-    return res
+    return CycloInt(p, tuple(c // p for c in scaled))
 
 
 def residue_mod_uniformizer(x: CycloInt) -> int:
     """Image in Z[zeta]/(lambda) = F_p, i.e. evaluation at zeta = 1 mod p."""
-    if not x.is_integral():
-        raise ValueError("integral element expected")
-    return int(sum(x.coords)) % x.p
+    return sum(x.coords) % x.p
 
 
 def lambda_valuation(x: CycloInt, cap: int = 10_000) -> int:
@@ -427,8 +380,6 @@ def lambda_expand(w: CycloInt, digits: int, balanced: bool = True) -> LambdaExpa
     Digits lie in {0..p-1} (plain) or in {-(p-1)/2..(p-1)/2} (balanced); the
     partial sum reproduces w modulo lambda^digits.
     """
-    if not w.is_integral():
-        raise ValueError("integral element expected")
     if digits < 1:
         raise ValueError("need at least one digit")
     p = w.p
@@ -453,10 +404,7 @@ def congruent_mod_uniformizer_power(a: CycloInt, b: CycloInt, k: int) -> bool:
 
 def congruent_mod_rational(a: CycloInt, b: CycloInt, m: int) -> bool:
     """a = b mod m Z[zeta], coordinatewise."""
-    d = a - b
-    if not d.is_integral():
-        return False
-    return all(int(c) % m == 0 for c in d.coords)
+    return all(c % m == 0 for c in (a - b).coords)
 
 
 # -- archimedean magnitudes ---------------------------------------------------------
@@ -476,7 +424,7 @@ def embedding_abs(x: CycloInt, c: int = 1) -> Tuple[mpmath.mpf, mpmath.mpf]:
     (value, error_bound) with relative error below 2^-40.
     """
     p = x.p
-    size = max((abs(v.numerator) + v.denominator for v in x.coords), default=1)
+    size = max(abs(v) for v in x.coords) + 1
     base_dps = 40 + len(str(size))
     vals = []
     for dps in (base_dps, 2 * base_dps):
@@ -485,7 +433,7 @@ def embedding_abs(x: CycloInt, c: int = 1) -> Tuple[mpmath.mpf, mpmath.mpf]:
             acc = mpmath.mpc(0)
             for e, coef in enumerate(x.coords, 1):
                 if coef:
-                    acc += mpmath.mpf(coef.numerator) / coef.denominator * roots[c * e % p]
+                    acc += mpmath.mpf(coef) * roots[c * e % p]
             vals.append(abs(acc))
     v1, v2 = vals
     err = abs(v1 - v2) + mpmath.mpf(2) ** (-120) * (abs(v2) + 1)
@@ -497,7 +445,7 @@ def embedding_abs(x: CycloInt, c: int = 1) -> Tuple[mpmath.mpf, mpmath.mpf]:
 def max_conjugate_abs(x: CycloInt) -> Tuple[mpmath.mpf, mpmath.mpf]:
     """max_c |sigma_c(x)| with its certified error bound.
 
-    x has rational coordinates, so sigma_{p-c}(x) is the complex conjugate of
+    x has integer coordinates, so sigma_{p-c}(x) is the complex conjugate of
     sigma_c(x) and c = 1..(p-1)/2 covers every absolute value.
     """
     best = (mpmath.mpf(0), mpmath.mpf(0))
@@ -534,10 +482,8 @@ class CycloIdeal:
         p = gens[0].p
         rows = []
         for g in gens:
-            if not g.is_integral():
-                raise ValueError("ideal generators must be integral")
             rows.extend(zeta_shift(p, g.coords, k) for k in range(p - 1))
-        bound = abs(int(gens[0].norm()))
+        bound = abs(gens[0].norm())
         if bound == 0:
             raise ValueError("zero generator")
         hnf = linalg.hermite_normal_form(rows, p - 1, det_multiple=bound)
@@ -589,9 +535,9 @@ class CycloIdeal:
         basis = self.basis_elements()
         for g in other.generators():
             if g.is_rational():
-                rows.extend(kappa_int(a.scale(int(g.as_rational()))) for a in basis)
+                rows.extend(a.scale(g.as_rational()).coords for a in basis)
             else:
-                rows.extend(kappa_int(a * g) for a in basis)
+                rows.extend((a * g).coords for a in basis)
         hnf = linalg.hermite_normal_form(rows, self.p - 1,
                                          det_multiple=self.norm() * other.norm())
         out = CycloIdeal(self.p, tuple(tuple(r) for r in hnf))
@@ -607,7 +553,7 @@ class CycloIdeal:
         return _hnf_norm(self.hnf)
 
     def contains(self, x: CycloInt) -> bool:
-        return linalg.hnf_contains(self.hnf, kappa_int(x))
+        return linalg.hnf_contains(self.hnf, x.coords)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, CycloIdeal) and self.p == other.p and self.hnf == other.hnf

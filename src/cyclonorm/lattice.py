@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .cyclotomic import CycloInt, kappa_int, kappa_inv
+from .cyclotomic import CycloInt, kappa_inv
 from .semilocal import balanced_digit, sl_embed
 from .series import DoubleTable, reassemble
 
@@ -132,8 +132,7 @@ def perturb_for_independence(dtable: DoubleTable) -> ModifiedTable:
     for pair in need:
         n, h = pair
         current = entries[pair]
-        vec = kappa_int(current)
-        if space.add(vec):
+        if space.add(current.coords):
             steps.append(PerturbStep(pair, "independent", None, 0))
             ranks.append(space.rank)
             continue
@@ -335,7 +334,7 @@ def inhomogeneous_select(mtable: ModifiedTable, level: Optional[int] = None) -> 
 
     def trace_row(e: CycloInt) -> List[int]:
         # Tr(w e) = sum_j (p e_{p-j} - sum_i e_i) w_j, a linear form in kappa(w)
-        coords = kappa_int(e)
+        coords = e.coords
         total = sum(coords)
         return [p * coords[(p - c) - 1] - total for c in range(1, p)]
 

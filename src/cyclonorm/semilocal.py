@@ -10,9 +10,9 @@ from F_r to Z/y^N, and x E is the component of x in that completion.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, List, Sequence, Tuple, Union
 
 from .cyclotomic import CycloInt, basis_product, cofactor_product, galois_coords, power, zeta_shift
@@ -100,26 +100,15 @@ class SemilocalElement:
         return f"<semilocal p={self.p} mod {self.modulus}: {self.poly}>"
 
 
-def sl_embed(p: int, value: Union[int, Fraction, CycloInt], modulus: int) -> SemilocalElement:
-    """Diagonal embedding of an exact value, reducing coordinates mod modulus.
-
-    Rational inputs need a denominator prime to the modulus; only `Fraction`
-    coordinates are inverted, integer ones go in as they are.
-    """
+def sl_embed(p: int, value: Union[int, CycloInt], modulus: int) -> SemilocalElement:
+    """Diagonal embedding of an integer or an element of Z[zeta]: its
+    integer coordinates reduced mod modulus.  A value that is not an integer
+    (a Fraction) raises TypeError."""
     if isinstance(value, CycloInt):
         if value.p != p:
             raise ValueError("mismatched primes")
-        coords = value.coords
-    else:
-        coords = (-value,) * (p - 1)
-    out = []
-    for c in coords:
-        if isinstance(c, Fraction):
-            if math.gcd(c.denominator, modulus) != 1:
-                raise ZeroDivisionError("denominator shares a factor with the modulus")
-            c = c.numerator * pow(c.denominator, -1, modulus)
-        out.append(c)
-    return SemilocalElement(p, modulus, tuple(out))
+        return SemilocalElement(p, modulus, value.coords)
+    return SemilocalElement(p, modulus, (-operator.index(value),) * (p - 1))
 
 
 def sl_combination(p: int, modulus: int,

@@ -68,6 +68,17 @@ REPORT_PINS = {
         "a30b4f45dc3548cb009d221eda34e70642d18cd57e3116358e2a270b6d4f1042",
     ("pipeline", 23, 2, 41):
         "a4fc107fed78a3d81679fb0a17c54b80fdb4ea31c62c1e0d0247bd631a97743a",
+    # p = 3 solutions: e = 0, and e = 1, where alpha is divided by lambda
+    ("pipeline", 3, 19, 18):
+        "663b3d3d0ee99cc5f115814e7f90e3825b9f3ee495110ddee2e3dc092236326b",
+    ("pipeline", 3, 2, 1):
+        "1be964be7f4a5e2d0930c93cba46491ad9346dc0e8be8c98c9500764b2476206",
+}
+
+# the same for search reports, keyed by (p, q, bound)
+SEARCH_PINS = {
+    (3, None, 50): "7097b0124c418d008da5287ea1d3b052a61cd5ea942b12177789e4f3cb143036",
+    (5, 7, 60): "a9a5556207c3ba1065053c5a2e186ea1fee76731770af7094a588c1eb2021550",
 }
 
 
@@ -77,6 +88,13 @@ def test_report_bytes_pinned(key):
     cmd = cmd_identities if command == "identities" else cmd_pipeline
     text = cmd(RunConfig(command, p=p, x=x, y=y, seed=0)).to_json()
     assert hashlib.sha256(text.encode("ascii")).hexdigest() == REPORT_PINS[key]
+
+
+@pytest.mark.parametrize("key", sorted(SEARCH_PINS, key=str), ids=lambda k: "-".join(map(str, k)))
+def test_search_report_bytes_pinned(key):
+    p, q, bound = key
+    text = cmd_search(RunConfig("search", p=p, q=q, bound=bound, seed=0)).to_json()
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == SEARCH_PINS[key]
 
 
 def test_search_p3_expected_hits():
@@ -366,6 +384,20 @@ def test_cli_report_rejects_non_report(tmp_path, capsys, tree):
     assert captured.err.startswith("invalid input: ")
     assert captured.out == ""
     assert not (tmp_path / "rep.tsv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    lambda d: ["identities", "--p", "5", "--out", str(d / "missing" / "base")],
+    lambda d: ["siegel", "--matrix", str(d / "m.txt"), "--out", str(d / "missing" / "w.txt")],
+    lambda d: ["report", "--out", str(d / "dir")],
+], ids=["identities-out-in-missing-dir", "siegel-out-in-missing-dir", "report-json-is-a-directory"])
+def test_cli_unusable_out_is_invalid_input(tmp_path, capsys, argv):
+    (tmp_path / "m.txt").write_text("1 5\n1 1 1 1 1\n")
+    (tmp_path / "dir.json").mkdir()
+    assert main(argv(tmp_path)) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("invalid input: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("bound", ["0", "-4"])
