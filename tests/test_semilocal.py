@@ -83,14 +83,19 @@ def test_embedding_examples():
     assert (v * v.inverse()).is_one()
     with pytest.raises(ZeroDivisionError):
         sl_embed(5, 11, 11 ** 2).inverse()
+
+
+def test_embedding_inverts_only_fraction_coordinates():
     # integer coordinates go in as they are, also those sharing a factor
-    # with the modulus
+    # with the modulus; nothing is inverted, so a Fraction, which would need
+    # its denominator inverted, is refused
     m = 2 ** 5 * 11 ** 2
     t = CycloInt(5, (22, -10 ** 30, 0, 7))
     assert sl_embed(5, t, m).poly == tuple(c % m for c in t.coords)
     assert sl_embed(5, 44, m).poly == ((-44) % m,) * 4
-    with pytest.raises(TypeError):
-        sl_embed(5, Fraction(1, 7), m)
+    for bad in (Fraction(1, 7), Fraction(1, 11)):
+        with pytest.raises(TypeError):
+            sl_embed(5, bad, m)
 
 
 def reference_combination(p, modulus, terms):
