@@ -10,8 +10,7 @@ A CycloInt coordinate is always a plain int: the ring is Z[zeta], not
 Q(zeta), so there is no inverse, and division by lambda = 1 - zeta is exact
 or refused.  The coordinate kernels below (basis product, Galois
 permutation, rotation by a power of zeta, square-and-multiply) serve both
-CycloInt and the semilocal rings Z_y[zeta], which share the basis; the
-cofactor product gives the semilocal norm and inverse.
+CycloInt and the semilocal rings Z_y[zeta], which share the basis.
 """
 
 from __future__ import annotations
@@ -82,14 +81,6 @@ def power(x, n: int, one):
         if n:
             x = x * x
     return one if result is None else result
-
-
-def cofactor_product(x):
-    """prod_{c=2}^{p-1} sigma_c(x): x times it is the norm of x."""
-    prod = x.galois(2)
-    for c in range(3, x.p):
-        prod = prod * x.galois(c)
-    return prod
 
 
 @dataclass(frozen=True)

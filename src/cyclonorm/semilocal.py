@@ -15,13 +15,18 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Tuple, Union
 
-from .cyclotomic import CycloInt, basis_product, cofactor_product, galois_coords, power, zeta_shift
+from .cyclotomic import CycloInt, basis_product, galois_coords, power, zeta_shift
 from .group_ring import is_prime, prime_power_split
 
 
 @dataclass(frozen=True)
 class SemilocalElement:
-    """Element of (Z/modulus)[X]/(Phi_p), coordinates on {zeta..zeta^{p-1}}."""
+    """Element of (Z/modulus)[X]/(Phi_p), coordinates on {zeta..zeta^{p-1}}.
+
+    Coordinates are ints reduced mod modulus; anything else that is an
+    integer (a bool, a numpy integer) is converted, and a coordinate that is
+    not an integer (a Fraction, a float) raises TypeError.
+    """
 
     p: int
     modulus: int
@@ -32,7 +37,10 @@ class SemilocalElement:
             raise ValueError("modulus must be >= 2")
         if len(self.poly) != self.p - 1:
             raise ValueError("coordinate vector must have length p-1")
-        object.__setattr__(self, "poly", tuple(c % self.modulus for c in self.poly))
+        poly = self.poly
+        if type(poly) is not tuple or not set(map(type, poly)) <= {int}:
+            poly = map(operator.index, poly)
+        object.__setattr__(self, "poly", tuple(c % self.modulus for c in poly))
 
     def _check(self, other: "SemilocalElement") -> None:
         if self.p != other.p or self.modulus != other.modulus:
@@ -59,8 +67,6 @@ class SemilocalElement:
         return SemilocalElement(self.p, self.modulus, basis_product(self.p, self.poly, other.poly))
 
     def __pow__(self, n: int) -> "SemilocalElement":
-        if n < 0:
-            return self.inverse() ** (-n)
         return power(self, n, sl_embed(self.p, 1, self.modulus))
 
     def is_zero(self) -> bool:
@@ -78,18 +84,6 @@ class SemilocalElement:
     def trace(self) -> int:
         """Sum of all Galois conjugates, as an element of Z/modulus."""
         return -sum(self.poly) % self.modulus
-
-    def norm_integer(self) -> int:
-        """Product of all Galois conjugates, as an element of Z/modulus."""
-        return -(self * cofactor_product(self)).poly[0] % self.modulus
-
-    def inverse(self) -> "SemilocalElement":
-        """Inverse via the cofactor product; needs the norm to be a unit."""
-        cof = cofactor_product(self)
-        nrm = -(self * cof).poly[0] % self.modulus
-        if math.gcd(nrm, self.modulus) != 1:
-            raise ZeroDivisionError("element is not invertible at this modulus")
-        return cof.scale(pow(nrm, -1, self.modulus))
 
     def reduce_to(self, new_modulus: int) -> "SemilocalElement":
         if self.modulus % new_modulus != 0:

@@ -22,11 +22,12 @@ is checked on integers.  Each coefficient is a nonnegative vector over
 1, zeta, ..., zeta^{p-1}, and each truncated series product is one bigint
 product of the series packed into slots (Kronecker substitution).
 
-Also here: semilocal evaluation with stability certificates, the double
-digit table feeding the perturbation algorithm, and the ramified-case
-congruence sums.  Every semilocal sum (a series at T = y/x, a reassembled
-digit table) is one integer linear combination of coordinate vectors,
-reduced once mod y^N (`semilocal.sl_combination`).
+Also here: semilocal evaluation, checked by the same q-th power identity at
+the evaluated point T = y/x in Z_y[zeta], the double digit table feeding the
+perturbation algorithm, and the ramified-case congruence sums.  Every
+semilocal sum (a series at T = y/x, a reassembled digit table, a
+linear-factor product at T) is one integer linear combination of coordinate
+vectors, reduced once mod y^N (`semilocal.sl_combination`).
 """
 
 from __future__ import annotations
@@ -156,12 +157,6 @@ class SeriesTable:
     full: bool
     numerators: Tuple[CycloInt, ...]
 
-    def integrality_ok(self) -> bool:
-        """True for every built table: a CycloInt has integer coordinates,
-        and `binom_coeffs` raises ArithmeticError before it returns a table
-        whose normalized coefficients do not divide exactly."""
-        return True
-
     def galois(self, c: int) -> "SeriesTable":
         """Coefficientwise Galois action; equals the table of sigma_c theta."""
         moved = GroupRingElement.sigma(self.p, c) * self.theta
@@ -177,7 +172,8 @@ def binom_coeffs(theta: GroupRingElement, order: int, full: bool = True,
 
     full: coefficients of (1+zeta T)^{theta/q} * [(1+conj(zeta) T)^{theta/q}]^{-1},
     which is the plain series of (1 - conj) theta; plain: (1+zeta T)^{theta/q}.
-    The stored numerators are q^{E(m)} a_m, certified integral.
+    The stored numerators are q^{E(m)} a_m.  They are integral: b_m divided
+    by the unit part of m! is exact, or ArithmeticError is raised.
     """
     p = theta.p
     q = den_prime if den_prime is not None else p
@@ -247,6 +243,25 @@ def _linear_factor_product(p: int, exponents: Sequence[int], order: int) -> List
     return poly
 
 
+def _factor_exponents(table: SeriesTable) -> Tuple[List[int], List[int]]:
+    """The exponents e of the linear factors (1 + zeta^e T) of num and den,
+    where (1+zeta T)^{theta} / (1+conj(zeta) T)^{theta} = num/den; a factor
+    with n_c < 0 moves to the other side."""
+    if not table.full:
+        raise ValueError("the power identity applies to the full series")
+    p = table.p
+    num_exps: List[int] = []
+    den_exps: List[int] = []
+    for c in range(1, p):
+        n = table.theta.coeff(c)
+        e = pow(c, p - 2, p)
+        if n < 0:
+            e, n = -e, -n
+        num_exps += [e] * n
+        den_exps += [-e] * n
+    return num_exps, den_exps
+
+
 @dataclass(frozen=True)
 class PowerCheckResult:
     ok: bool
@@ -265,22 +280,12 @@ def pth_power_check(table: SeriesTable, order: Optional[int] = None) -> PowerChe
     coefficient m of both sides is multiplied by q^{m + qV}, so the lowest
     mismatching coefficient is the same.  Every product is a `packed_product`.
     """
-    if not table.full:
-        raise ValueError("the power identity applies to the full series")
+    num_exps, den_exps = _factor_exponents(table)
     order = table.order if order is None else order
     if not 0 <= order <= table.order:
         raise ValueError(f"power check order {order} is outside 0..{table.order}, "
                          f"the table's order")
     p, q = table.p, table.q
-    num_exps: List[int] = []
-    den_exps: List[int] = []
-    for c in range(1, p):
-        n = table.theta.coeff(c)
-        e = pow(c, p - 2, p)
-        if n < 0:
-            e, n = -e, -n
-        num_exps += [e] * n
-        den_exps += [-e] * n
     top = factorial_valuation(order, q)
     base = [to_power_basis([c * q ** (top - factorial_valuation(m, q)) for c in coeff.coords])
             for m, coeff in enumerate(table.numerators[:order + 1])]
@@ -343,31 +348,11 @@ def coeff_bound_check(table: SeriesTable, m: int) -> BoundCheck:
 # -- semilocal evaluation ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SemilocalSum:
-    value: SemilocalElement
-    terms_used: int
-    stable: bool                 # adding one more term does not change the value
-    cross_precision_ok: bool     # evaluation at higher precision reduces to this one
-
-
-def _sl_partial(table: SeriesTable, x: int, y: int, n_terms: int, prec: int) -> SemilocalElement:
-    """The first n_terms terms of the series at T = y/x, mod y^prec."""
-    m = y ** prec
-    inv_x = pow(x % m, -1, m)
-    inv_q = pow(table.q % m, -1, m)
-    return sl_combination(table.p, m, (
-        (table.numerators[n].coords,
-         pow(inv_q, denominator_exponent(n, table.q), m) * pow(inv_x, n, m) * pow(y, n, m) % m)
-        for n in range(min(n_terms, table.order + 1))))
-
-
-def sl_eval(table: SeriesTable, x: int, y: int, precision: int) -> SemilocalSum:
+def sl_eval(table: SeriesTable, x: int, y: int, precision: int) -> SemilocalElement:
     """Sum of the series at T = y/x in Z_y[zeta] mod y^precision.
 
-    Terms of index >= precision vanish at the working modulus, so the partial
-    sum with `precision` terms is the limit; the certificate re-evaluates with
-    one extra term and at a higher modulus.
+    The term of index n carries y^n, so the first `precision` terms give the
+    limit; `sl_power_check` tests the sum.
     """
     if math.gcd(x, y) != 1:
         raise ValueError("x must be invertible modulo y")
@@ -375,25 +360,45 @@ def sl_eval(table: SeriesTable, x: int, y: int, precision: int) -> SemilocalSum:
         raise ValueError("the ramified prime is handled by uniformizer expansions")
     if table.order < precision:
         raise ValueError("series table too short for the requested precision")
+    m = y ** precision
+    t = y * pow(x, -1, m) % m
+    inv_q = pow(table.q, -1, m)
+    return sl_combination(table.p, m, (
+        (table.numerators[n].coords, pow(inv_q, denominator_exponent(n, table.q), m) * pow(t, n, m))
+        for n in range(precision)))
 
-    value = _sl_partial(table, x, y, precision, precision)
-    stable = _sl_partial(table, x, y, precision + 1, precision) == value
-    higher = _sl_partial(table, x, y, precision + 2, precision + 2)
-    cross = higher.reduce_to(y ** precision) == value
-    return SemilocalSum(value, min(precision, table.order + 1), stable, cross)
+
+def sl_power_check(table: SeriesTable, x: int, y: int, precision: int) -> bool:
+    """The identity of `pth_power_check` at the evaluated point: with
+    S = sl_eval(table, x, y, precision) and T = y/x, S^q den(T) = num(T)
+    mod y^precision.  T^n carries y^n, so num and den are needed only below
+    degree `precision`; each is one integer combination of its power-basis
+    coefficients."""
+    num_exps, den_exps = _factor_exponents(table)
+    s = sl_eval(table, x, y, precision)
+    m = s.modulus
+    t = y * pow(x, -1, m) % m
+
+    def at_t(exps: Sequence[int]) -> SemilocalElement:
+        # v over 1, zeta, ..., zeta^{p-1} is sum_c (v_c - v_0) zeta^c
+        return sl_combination(table.p, m, (
+            (tuple(c - v[0] for c in v[1:]), pow(t, n, m))
+            for n, v in enumerate(_linear_factor_product(table.p, exps, precision - 1))))
+
+    return s ** table.q * at_t(den_exps) == at_t(num_exps)
 
 
-def equivariance_check(table: SeriesTable, x: int, y: int, precision: int,
-                       conjugates: Optional[Sequence[int]] = None) -> bool:
-    """sigma_c of the summed series equals the summed series of sigma_c theta."""
-    base = sl_eval(table, x, y, precision).value
+def equivariance_check(table: SeriesTable, conjugates: Optional[Sequence[int]] = None) -> bool:
+    """sigma_c of the table equals the table rebuilt from sigma_c theta.
+
+    sigma_c permutes coordinates and the semilocal sum has integer scalars,
+    so sigma_c of a summed series is always the sum of the moved table; only
+    the rebuild can fail.
+    """
     for c in (conjugates if conjugates is not None else range(1, table.p)):
-        moved = table.galois(c)
-        if base.galois(c) != _sl_partial(moved, x, y, precision, precision):
-            return False
         recomputed = binom_coeffs(GroupRingElement.sigma(table.p, c) * table.theta,
                                   table.order, table.full, table.q)
-        if recomputed.numerators != moved.numerators:
+        if recomputed.numerators != table.galois(c).numerators:
             return False
     return True
 
@@ -472,7 +477,7 @@ def reassemble(dtable: DoubleTable, entries: Mapping[Tuple[int, int], CycloInt],
 
 def reassembly_check(dtable: DoubleTable, table: SeriesTable, cutoff: int) -> bool:
     """The double sum reproduces rho * (series sum) mod y^cutoff."""
-    target = sl_eval(table, dtable.x, dtable.y, cutoff).value
+    target = sl_eval(table, dtable.x, dtable.y, cutoff)
     rho_k = dtable.rho.reduce_to(dtable.y ** cutoff)
     lhs = reassemble(dtable, dtable.entries, {}, cutoff)
     return lhs == rho_k * target

@@ -38,36 +38,36 @@ def test_identities_deterministic_bytes():
 # moves one of them changes what the checker reports, not only how it runs.
 REPORT_PINS = {
     ("identities", 5, None, None):
-        "e1a5b0f9ad023316c302f86889300b22d676a1c61da94b7b3d9e5c177062b65d",
+        "9744cb9ccdf8c24cb9cb708336a4efb646b2378b2a34b5476a33ab5d162030e5",
     ("identities", 7, None, None):
-        "928c846618c6a432a5a3eca6393d1f2e91ad7e11fb309be55ea9bb93d268914b",
+        "be8ec52cf3c6389c0b22c579d3632dbc6b8d97a092f23fc768c3d480f760edb0",
     ("identities", 11, None, None):
-        "685afd9a91228a792b9f4d8d803b03b4b2a1e405ae795c12ad341962166cdf82",
+        "7979e386489c64f7a3bf5dbc281120fbe7ba06efe2b4457b3ad8b9f6abd86bcb",
     ("identities", 13, None, None):
-        "408a8b01cf798660e03f18ad775fadf6fbfa730c5da09e35e4a5b524f74e7aa2",
+        "9ef39d175c79d37afb8b8ad7d89f61b206c20e1926d3dd14d52742ff893330a8",
     ("identities", 17, None, None):
-        "fba81db82c313c36092299856c269a4881b68837223f69be3bbf62f27f58046f",
+        "099206a2dcf3e9525763f168a2cd4328b5fc7c94ed1afd4976238d66a13f0391",
     ("identities", 23, None, None):
-        "08f4f7cf0234ee0ce7b0fb1f5a24d4779897b0626b675b659d23fb78f88a4a7c",
+        "10294dd0ebfc8c69eaafdcc5da5e3bf33b1b9d8000394d987f979817bb70ac39",
     ("identities", 37, None, None):
-        "6d65cfdc443c2eb4d66f09977dc236e39a6eb1c764635d4d238b06bd7d36311f",
+        "c22818f8ef831fd0e99c3d3951901bf06b17fbd9c8c56a3dac4e0f5df3999618",
     ("pipeline", 5, 3, 22):
-        "c2d9a6e89c07633264c6d9ab848775223d029146f26f8c328e75ef9fffff9a6f",
+        "aefa0fca4cb0da3a73472ed21c32455e5e3495e3e881abbf42aef7cf54b3d163",
     # twist-selection fails here: each twist's least kernel vector pairs to 0
     ("pipeline", 7, 3, 26):
-        "888ebc706b225678e24308ad39a1ec975f7e5b2419e3571ce1953ce16c459574",
+        "10f6cf10f02b37d4e037d7bc20b89684d1126adbee81596291a2b2228576fe99",
     # the digit bases below: 5^2 over degree-5 factors, 3^3 over degree-3
     # factors, and 3 inert times 11 split
     ("pipeline", 11, 2, 25):
-        "456f54283ed9eabc691320ea52d53d1326e2f25645f02db7d129cffb9901515c",
+        "3cd89c36b2735ec197136b1ddc0001cdee09a0b7afbc3515693b16285831a558",
     ("pipeline", 13, 2, 27):
-        "bdc152f64f457bb89e71209995f122023b2036f58116715dff34684309ac6c77",
+        "6121e6a014abd0ea4606c43bca7633521c38bcf8e2186b00efc1f41d5e3cbb16",
     ("pipeline", 5, 2, 33):
-        "c91b7c8722bc2ac3e32d2daac2b85a30ebe23c887081d94a314bdea9736a5d7b",
+        "4a49fbb59a7623136ecc7a2114875861788720ee32b52305c8068a51241b5545",
     ("pipeline", 17, 2, 19):
-        "a30b4f45dc3548cb009d221eda34e70642d18cd57e3116358e2a270b6d4f1042",
+        "30b11c00f59bca244b472af71124d7d5fbced6ad015543aa55a4c0630cda4d69",
     ("pipeline", 23, 2, 41):
-        "a4fc107fed78a3d81679fb0a17c54b80fdb4ea31c62c1e0d0247bd631a97743a",
+        "453b0ff70a5d947dd87a097ab7a8fcfa0fcf6042214f54bd0d53eaa737c5002b",
     # p = 3 solutions: e = 0, and e = 1, where alpha is divided by lambda
     ("pipeline", 3, 19, 18):
         "663b3d3d0ee99cc5f115814e7f90e3825b9f3ee495110ddee2e3dc092236326b",
@@ -317,6 +317,25 @@ def test_trivial_instance_record_fails_on_a_wrong_value(monkeypatch):
     rep = cmd_search(RunConfig("search", p=5, bound=5))
     assert _record(rep, "trivial-instance-excluded").status == "fail"
     assert _record(rep, "search-accounting").status == "pass"
+
+
+def test_semilocal_sum_record_fails_on_a_moved_numerator(monkeypatch):
+    # numerator 2 of the series table moved by zeta: the summed series
+    # moves by zeta (y/x)^2 / q^2, and its q-th power no longer closes
+    real = harness.series.binom_coeffs
+
+    def tampered(theta, order, full=True, den_prime=None):
+        tab = real(theta, order, full, den_prime)
+        nums = list(tab.numerators)
+        nums[2] = nums[2] + harness.CycloInt.zeta_power(tab.p, 1)
+        return dataclasses.replace(tab, numerators=tuple(nums))
+
+    cfg = RunConfig("pipeline", p=5, x=3, y=22)
+    assert _record(cmd_pipeline(cfg), "semilocal-sum").status == "pass"
+    monkeypatch.setattr(harness.series, "binom_coeffs", tampered)
+    rep = cmd_pipeline(cfg)
+    assert _record(rep, "semilocal-sum").status == "fail"
+    assert _record(rep, "series-power").status == "fail"
 
 
 def test_report_files_byte_stable(tmp_path):

@@ -317,7 +317,7 @@ def test_paper_regime_layers_pinned_at_p61():
     except ConstructionFailed:
         theta = fueter(ctx, 1).scale(2)
     tab = binom_coeffs(theta, depth + 2)
-    assert equivariance_check(tab, x, y, 4)
+    assert equivariance_check(tab)
     dt = double_table(tab, synthetic_root_of_unity(p, y, depth + 1, seed=0), x, y, depth)
     mt = perturb_for_independence(dt)
     got = {

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from cyclonorm import series as series_module
 from cyclonorm.cyclotomic import CycloInt, basis_product, inverse_uniformizer_numerator, zeta_shift
 from cyclonorm.group_ring import GroupRingElement
 from cyclonorm.semilocal import synthetic_root_of_unity
@@ -22,6 +23,7 @@ from cyclonorm.series import (
     pth_power_check,
     reassembly_check,
     sl_eval,
+    sl_power_check,
     to_power_basis,
     wieferich_sums,
 )
@@ -220,7 +222,6 @@ def test_single_factor_against_direct_binomial(p):
     for c in range(1, p):
         t = GroupRingElement.from_inverse_coeffs(p, {c: 1})
         tab = binom_coeffs(t, 6, full=False)
-        assert tab.integrality_ok()
         c_inv = pow(c, p - 2, p)
         for m in range(7):
             binom = Fraction(1)
@@ -246,7 +247,12 @@ def test_integrality_to_order_12(p):
               fueter(ctx, 1) + fueter(ctx, 2), annihilator_element(p)]
     for theta in thetas:
         for full in (True, False):
-            assert binom_coeffs(theta, 12, full=full).integrality_ok()
+            # binom_coeffs raises ArithmeticError unless every numerator is
+            # integral; the Q(zeta) route confirms it on its own
+            tab = binom_coeffs(theta, 12, full=full)
+            assert all(n.den == 1 for n in reference_binom_numerators(theta, 12, full, p))
+            assert tuple(map(QZeta.of, tab.numerators)) == \
+                reference_binom_numerators(theta, 12, full, p)
 
 
 @pytest.mark.parametrize("p", [5, 7])
@@ -446,7 +452,6 @@ def test_q_variant_integrality_and_power():
     for theta in [fueter(ctx, 1), fueter(ctx, 1).scale(2)]:
         tab = binom_coeffs(theta, 10, full=True, den_prime=7)
         assert tab.q == 7
-        assert tab.integrality_ok()
         assert pth_power_check(tab, 6).ok
 
 
@@ -466,22 +471,36 @@ def test_dominance_bounds(p):
         assert coeff_bound_check(small, m).bound <= coeff_bound_check(tab, m).bound
 
 
-def test_sl_eval_stability_certificates():
+def test_sl_eval_power_certificate():
     ctx = StickelbergerContext(5)
     tab = binom_coeffs(fueter(ctx, 1), 8, full=True)
-    s = sl_eval(tab, 3, 11, 4)
-    assert s.stable and s.cross_precision_ok
-    # zero numerator count check: y = 0 is rejected upstream by gcd rules
+    x, y, precision = 3, 11, 4
+    m = y ** precision
+    t = y * pow(x, -1, m) % m
+    expected = [0] * 4
+    for n in range(precision):
+        a = reference_coefficient(tab, n)
+        scalar = pow(t, n, m) * pow(a.den, -1, m)
+        expected = [e + scalar * c for e, c in zip(expected, a.num)]
+    assert sl_eval(tab, x, y, precision).poly == tuple(e % m for e in expected)
+    assert sl_power_check(tab, x, y, precision)
+    # x not invertible modulo y, a ramified base, a table shorter than the precision
+    for args in ((11, 11, 3), (3, 25, 3), (3, 11, 9)):
+        with pytest.raises(ValueError):
+            sl_eval(tab, *args)
+        with pytest.raises(ValueError):
+            sl_power_check(tab, *args)
     with pytest.raises(ValueError):
-        sl_eval(tab, 11, 11, 3)
-    with pytest.raises(ValueError):
-        sl_eval(tab, 3, 25, 3)   # ramified base
+        sl_power_check(binom_coeffs(fueter(ctx, 1), 8, full=False), x, y, precision)
 
 
 @pytest.mark.parametrize("p,x,y", [(5, 3, 11), (7, 2, 13)])
 def test_equivariance(p, x, y):
     tab = binom_coeffs(fueter(StickelbergerContext(p), 1), 8, full=True)
-    assert equivariance_check(tab, x, y, 4)
+    assert equivariance_check(tab)
+    # sigma_c permutes coordinates, so it commutes with the semilocal sum
+    for c in range(1, p):
+        assert sl_eval(tab.galois(c), x, y, 4) == sl_eval(tab, x, y, 4).galois(c)
 
 
 def test_galois_table_matches_recomputation():
@@ -552,10 +571,38 @@ def test_digit_checks_fail_on_a_moved_digit():
 def test_equivariance_check_fails_on_a_moved_numerator():
     p = 5
     tab = binom_coeffs(fueter(StickelbergerContext(p), 1), 6, full=True)
-    assert equivariance_check(tab, 3, 11, 4)
+    assert equivariance_check(tab)
     for n, num in enumerate(tab.numerators):
         nums = tab.numerators[:n] + (_moved(num, n % (p - 1), 10 ** 9),) + tab.numerators[n + 1:]
-        assert not equivariance_check(dataclasses.replace(tab, numerators=nums), 3, 11, 4)
+        assert not equivariance_check(dataclasses.replace(tab, numerators=nums))
+
+
+@pytest.mark.parametrize("p,x,y", [(5, 3, 22), (7, 3, 26), (13, 2, 53), (11, 3, 35)])
+def test_sl_power_check_fails_on_a_moved_numerator(p, x, y):
+    # numerator n enters the sum at y^n, so the check at precision 6 sees a
+    # move of any numerator below 6 and none above
+    tab = binom_coeffs(fueter(StickelbergerContext(p), 1).scale(2), 9, full=True)
+    assert sl_power_check(tab, x, y, 6)
+    zeta = CycloInt.zeta_power(p, 1)
+    for n, num in enumerate(tab.numerators):
+        nums = tab.numerators[:n] + (num + zeta,) + tab.numerators[n + 1:]
+        moved = dataclasses.replace(tab, numerators=nums)
+        assert sl_power_check(moved, x, y, 6) == (n >= 6)
+
+
+def test_binom_coeffs_refuses_a_coefficient_that_does_not_divide(monkeypatch):
+    # b_m is divided exactly by the unit part of m!, which is 2, 6, 24, 24,
+    # 144 for m = 2..6 and q = 5: a move by zeta leaves one coordinate off
+    theta = fueter(StickelbergerContext(5), 1)
+    normalized = series_module.normalized_coeffs
+    for m in range(2, 7):
+        def moved(theta, m_max, q, m=m):
+            b = normalized(theta, m_max, q)
+            b[m] = b[m] + CycloInt.zeta_power(theta.p, 1)
+            return b
+        monkeypatch.setattr(series_module, "normalized_coeffs", moved)
+        with pytest.raises(ArithmeticError):
+            binom_coeffs(theta, 6)
 
 
 def test_double_table_requires_precision():
