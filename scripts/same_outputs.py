@@ -7,8 +7,10 @@ makes for the three workloads and the given seeds (default 1 and 2) through
 `cyclonorm.cli.main`, in one process as the benchmark does.  It then runs
 each command of EXTRA_COMMANDS once, with `--out` in the work directory.
 Those reach paths that no benchmark op reaches: the p = 3 search, the p = 3
-pipelines (e = 0, and e = 1 with its division by 1 - zeta) and the search
-with a second prime q.
+pipelines (e = 0, and e = 1 with its division by 1 - zeta), the search
+with a second prime q, and the identities at p = 59, the least prime whose
+weight-2 annihilator comes from the double-Fueter recipe (about 6 s per
+tree).
 
 Both trees run in the same work directory, because a report records its
 `--out` path.  Each op is summed up by the SHA-256 of its output files,
@@ -44,6 +46,7 @@ EXTRA_COMMANDS = [
     ["search", "--p", "5", "--q", "7", "--bound", "60"],
     ["pipeline", "--p", "3", "--x", "19", "--y", "18"],
     ["pipeline", "--p", "3", "--x", "2", "--y", "1"],
+    ["identities", "--p", "59"],
 ]
 
 

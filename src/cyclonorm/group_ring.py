@@ -196,24 +196,13 @@ def weights(t: GroupRingElement) -> WeightInfo:
     return WeightInfo(absolute, relative, all(c >= 0 for c in t.coeffs))
 
 
-@dataclass(frozen=True)
-class IdempotentElement:
-    """Character idempotent e_k of F_p[G] for the mod-p Teichmuller character."""
-
-    k: int
-    element: GroupRingElement
-
-    @property
-    def p(self) -> int:
-        return self.element.p
-
-
-def idempotent_mod_p(p: int, k: int) -> IdempotentElement:
-    """e_k = (1/(p-1)) sum_a a^k sigma_a^{-1} over F_p; 1/(p-1) = -1 mod p."""
+def idempotent_mod_p(p: int, k: int) -> GroupRingElement:
+    """Character idempotent e_k of F_p[G] for the mod-p Teichmuller character:
+    e_k = (1/(p-1)) sum_a a^k sigma_a^{-1}; 1/(p-1) = -1 mod p."""
     if not 0 <= k <= p - 2:
         raise ValueError(f"character exponent {k} outside 0..{p-2}")
     coeffs = {a: (-pow(a, k, p)) % p for a in range(1, p)}
-    return IdempotentElement(k, GroupRingElement.from_inverse_coeffs(p, coeffs, p))
+    return GroupRingElement.from_inverse_coeffs(p, coeffs, p)
 
 
 def subgroups(p: int) -> List[Tuple[int, int]]:

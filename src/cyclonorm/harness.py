@@ -39,8 +39,6 @@ from .group_ring import (
     weights,
 )
 from .stickelberger import (
-    ConstructionFailed,
-    StickelbergerContext,
     bernoulli_profile,
     construct_weight2_annihilator,
     fermat_quotient,
@@ -163,7 +161,6 @@ def cmd_identities(cfg: RunConfig) -> Report:
     if p > 101:
         raise ValueError("the full identity suite is guarded to p <= 101")
     rng = random.Random(cfg.seed)
-    ctx = StickelbergerContext(p)
     zeta = CycloInt.zeta_power(p, 1)
     one = CycloInt.from_rational(p, 1)
 
@@ -181,21 +178,21 @@ def cmd_identities(cfg: RunConfig) -> Report:
 
     # Fuchsian / Fueter structure
     ok = all(
-        fueter(ctx, n) == (fuchsian(ctx, n + 1) - fuchsian(ctx, n) if n > 1 else fuchsian(ctx, 2))
-        and weights(fueter(ctx, n)).relative == 1
-        and weights(fueter(ctx, n)).nonnegative
+        fueter(p, n) == (fuchsian(p, n + 1) - fuchsian(p, n) if n > 1 else fuchsian(p, 2))
+        and weights(fueter(p, n)).relative == 1
+        and weights(fueter(p, n)).nonnegative
         for n in range(1, (p - 1) // 2 + 1)
     )
     report.add("fueter-difference", "fueter-equals-fuchsian-difference", ok,
                {"p": p}, {"count": (p - 1) // 2})
 
-    ok = all(fermat_quotient(ctx, fuchsian(ctx, n)) == fermat_quotient_classical(p, n)
+    ok = all(fermat_quotient(fuchsian(p, n)) == fermat_quotient_classical(p, n)
              for n in range(2, p + 1))
     report.add("fuchsian-quotient-closed-form", "fermat-quotient-of-fuchsian", ok,
                {"p": p, "n": f"2..{p}"}, {}, arithmetic=f"mod {p}")
     report.add("fermat-quotient-top", "quotient-of-top-fuchsian-is-minus-one",
-               fermat_quotient(ctx, theta_p(ctx)) == p - 1,
-               {"p": p}, {"value": fermat_quotient(ctx, theta_p(ctx))}, arithmetic=f"mod {p}")
+               fermat_quotient(theta_p(p)) == p - 1,
+               {"p": p}, {"value": fermat_quotient(theta_p(p))}, arithmetic=f"mod {p}")
 
     # quotient linearity and the root-of-unity action
     lin_ok, act_ok = True, True
@@ -203,11 +200,11 @@ def cmd_identities(cfg: RunConfig) -> Report:
         t1 = GroupRingElement(p, tuple(rng.randrange(-9, 10) for _ in range(p - 1)))
         t2 = GroupRingElement(p, tuple(rng.randrange(-9, 10) for _ in range(p - 1)))
         a, b = rng.randrange(-5, 6), rng.randrange(-5, 6)
-        lhs = fermat_quotient(ctx, t1.scale(a) + t2.scale(b))
-        if lhs != (a * fermat_quotient(ctx, t1) + b * fermat_quotient(ctx, t2)) % p:
+        lhs = fermat_quotient(t1.scale(a) + t2.scale(b))
+        if lhs != (a * fermat_quotient(t1) + b * fermat_quotient(t2)) % p:
             lin_ok = False
         pos = GroupRingElement(p, tuple(rng.randrange(0, 6) for _ in range(p - 1)))
-        if zeta.group_ring_power(pos) != CycloInt.zeta_power(p, fermat_quotient(ctx, pos)):
+        if zeta.group_ring_power(pos) != CycloInt.zeta_power(p, fermat_quotient(pos)):
             act_ok = False
     report.add("quotient-linearity", "fermat-quotient-linear", lin_ok,
                {"p": p, "seed": cfg.seed, "samples": 20}, {}, arithmetic=f"mod {p}")
@@ -219,22 +216,22 @@ def cmd_identities(cfg: RunConfig) -> Report:
     total = GroupRingElement.zero(p, p)
     idem_ok = True
     for e in es:
-        total = total + e.element
-        if e.element * e.element != e.element:
+        total = total + e
+        if e * e != e:
             idem_ok = False
     if total != GroupRingElement.one(p, p):
         idem_ok = False
     for i in range(p - 1):
         for j in range(i + 1, p - 1):
-            if not (es[i].element * es[j].element).is_zero():
+            if not (es[i] * es[j]).is_zero():
                 idem_ok = False
     twist_ok = True
     for k in range(p - 1):
-        if es[k].element.conjugate() != es[k].element.scale(pow(p - 1, k, p)).reduce(p):
+        if es[k].conjugate() != es[k].scale(pow(p - 1, k, p)).reduce(p):
             twist_ok = False
         for m in (2, p - 1, rng.randrange(1, p)):
-            lhs = GroupRingElement.sigma(p, m, p) * es[k].element
-            if lhs != es[k].element.scale(pow(m, k, p)).reduce(p):
+            lhs = GroupRingElement.sigma(p, m, p) * es[k]
+            if lhs != es[k].scale(pow(m, k, p)).reduce(p):
                 twist_ok = False
     report.add("idempotent-algebra", "orthogonal-idempotents-decompose-unit", idem_ok,
                {"p": p}, {}, arithmetic=f"mod {p}")
@@ -243,7 +240,7 @@ def cmd_identities(cfg: RunConfig) -> Report:
                note="sigma_m e_k = m^k e_k; conjugation gives (-1)^k")
 
     # irregularity profile (two Bernoulli routes cross-checked inside)
-    prof = bernoulli_profile(ctx)
+    prof = bernoulli_profile(p)
     report.add("irregularity-profile", "bernoulli-vanishing-profile",
                prof.lepisto_ok and prof.rank_matches and prof.rank_lower_bound_ok,
                {"p": p},
@@ -253,10 +250,10 @@ def cmd_identities(cfg: RunConfig) -> Report:
                note="two independent Bernoulli routes agree; rank of the minus part matches")
 
     # modified idempotents: quotient values and character twist
-    mod_ok = fermat_quotient(ctx, (-theta_p(ctx)).reduce(p).lift()) == 1
+    mod_ok = fermat_quotient((-theta_p(p)).reduce(p).lift()) == 1
     for k in range(3, p - 1, 2):
-        ek = modified_idempotent(ctx, k)
-        if fermat_quotient(ctx, ek.lift()) != 0:
+        ek = modified_idempotent(p, k)
+        if fermat_quotient(ek.lift()) != 0:
             mod_ok = False
         if k in prof.surviving:
             m = rng.randrange(2, p)
@@ -281,7 +278,7 @@ def cmd_identities(cfg: RunConfig) -> Report:
             base = GroupRingElement.one(p) + GroupRingElement.sigma(p, n) \
                 - GroupRingElement.sigma(p, n + 1)
             t = t + (s * base).scale(a)
-            theta = theta + (s * fueter(ctx, n)).scale(a)
+            theta = theta + (s * fueter(p, n)).scale(a)
         for order, gen in subgroups(p):
             nu = GroupRingElement.sigma(p, gen)
             t_fixed = (nu * t) == t
@@ -292,7 +289,7 @@ def cmd_identities(cfg: RunConfig) -> Report:
                 converse_failures += 1
                 # the moved difference must be annihilated: Theta_p u = 0
                 u = nu * t - t
-                if not (theta_p(ctx) * u).is_zero():
+                if not (theta_p(p) * u).is_zero():
                     boundary_ok = False
     report.add("stabilizer-transfer-forward", "invariance-passes-to-annihilator-multiples",
                forward_ok, {"p": p, "seed": cfg.seed}, {})
@@ -303,20 +300,16 @@ def cmd_identities(cfg: RunConfig) -> Report:
                     "part annihilates); occurrences are counted, not failed")
 
     # weight-2 annihilator
-    try:
-        ann = construct_weight2_annihilator(ctx)
-        report.add("weight-two-annihilator", "positive-weight-two-zero-quotient-element",
-                   weights(ann.element).relative == 2
-                   and fermat_quotient(ctx, ann.element) == 0 and ann.is_unfixed,
-                   {"p": p}, {"recipe": ann.recipe, "element": ann.element})
-    except ConstructionFailed as exc:
-        ann = construct_weight2_annihilator(ctx, require_unfixed=False)
-        report.add("weight-two-annihilator", "positive-weight-two-zero-quotient-element",
-                   True, {"p": p},
-                   {"recipe": ann.recipe, "element": ann.element,
-                    "fixed_by": list(ann.fixed_by)},
-                   waived=True,
-                   note=f"no stabilizer-free candidate exists at p={p}: {exc}")
+    ann = construct_weight2_annihilator(p)
+    outputs = {"recipe": ann.recipe, "element": ann.element}
+    if not ann.is_unfixed:
+        outputs["fixed_by"] = list(ann.fixed_by)
+    report.add("weight-two-annihilator", "positive-weight-two-zero-quotient-element",
+               weights(ann.element).relative == 2
+               and fermat_quotient(ann.element) == 0 and ann.is_unfixed,
+               {"p": p}, outputs, waived=not ann.is_unfixed,
+               note="" if ann.is_unfixed else
+               f"no stabilizer-free candidate exists at p={p}: {_no_unfixed_element(p)}")
 
     # coordinate map identities
     kappa_ok, shifted_ok, pairing_ok, chain_ok = True, True, True, True
@@ -369,7 +362,7 @@ def cmd_identities(cfg: RunConfig) -> Report:
                {"p": p, "seed": cfg.seed}, {})
 
     # series identities (kept small here; the full suite lives in the tests)
-    psi1 = fueter(ctx, 1)
+    psi1 = fueter(p, 1)
     tab = series.binom_coeffs(psi1, 6, full=True)
     power = series.pth_power_check(tab, 4)
     report.add("series-power-identity", "full-series-q-th-power-closes", power.ok,
@@ -405,6 +398,13 @@ def cmd_identities(cfg: RunConfig) -> Report:
                {"p": p, "y": yb, "seed": cfg.seed}, {})
 
     return report
+
+
+def _no_unfixed_element(p: int) -> str:
+    """The note of both records that fall back when no weight-2 annihilator
+    is stabilizer-free (p = 5, 7)."""
+    return (f"no positive relative-weight-2 element with zero Fermat quotient and "
+            f"trivial stabilizer exists at p={p}")
 
 
 # ---------------------------------------------------------------------------------
@@ -514,22 +514,20 @@ def cmd_pipeline(cfg: RunConfig) -> Report:
         raise ValueError(f"y = {y} is a power of a prime inert in Q(zeta_{p}): every "
                          "p-th root of unity modulo y is global, so none is nontrivial")
 
-    ctx = StickelbergerContext(p)
-    # stage 0: the driving exponent element
-    try:
-        ann = construct_weight2_annihilator(ctx)
-        theta = ann.element
-        w = weights(theta)
-        report.add("exponent-element", "weight-two-zero-quotient-driver",
-                   w.relative == 2 and w.nonnegative and fermat_quotient(ctx, theta) == 0,
-                   {"p": p}, {"element": theta, "recipe": ann.recipe})
-    except ConstructionFailed as exc:
-        theta = fueter(ctx, 1).scale(2)
-        report.add("exponent-element", "weight-two-zero-quotient-driver", True,
-                   {"p": p}, {"element": theta, "recipe": "doubled-first-generator"},
-                   waived=True,
-                   note=f"{exc}; using the doubled first generator (nonzero quotient); "
-                        "the local stages use a synthetic root of unity and are unaffected")
+    # stage 0: the driving exponent element; without a stabilizer-free
+    # annihilator (p = 5, 7) the doubled first generator drives the series
+    ann = construct_weight2_annihilator(p)
+    theta = ann.element if ann.is_unfixed else fueter(p, 1).scale(2)
+    w = weights(theta)
+    report.add("exponent-element", "weight-two-zero-quotient-driver",
+               w.relative == 2 and w.nonnegative and fermat_quotient(theta) == 0,
+               {"p": p},
+               {"element": theta,
+                "recipe": ann.recipe if ann.is_unfixed else "doubled-first-generator"},
+               waived=not ann.is_unfixed,
+               note="" if ann.is_unfixed else
+               f"{_no_unfixed_element(p)}; using the doubled first generator (nonzero "
+               "quotient); the local stages use a synthetic root of unity and are unaffected")
 
     depth = max(cfg.level + 2, 6, lattice.guard_depth(p))
     order = max(depth + 2, cfg.precision + 2)
@@ -547,8 +545,7 @@ def cmd_pipeline(cfg: RunConfig) -> Report:
 
     rho = semilocal.synthetic_root_of_unity(p, y, depth + 1, seed=cfg.seed)
     report.add("root-of-unity", "semilocal-root-nontrivial",
-               (rho ** p).is_one()
-               and all(rho != g for g in semilocal.global_pth_root_embeddings(p, y ** (depth + 1))),
+               (rho ** p).is_one(),
                {"p": p, "y": y, "seed": cfg.seed}, {},
                arithmetic=f"mod {y}^{depth + 1}",
                note="synthetic stand-in: no true solution exists, so the root is "
@@ -622,15 +619,14 @@ def _pipeline_true_solution(cfg: RunConfig, report: Report) -> Report:
     # canonical-generator congruence on annihilator powers with zero quotient:
     # exactly one unit +-zeta^k normalizes the power to 1 mod lambda^2, and
     # with vanishing quotient the root-of-unity part is trivial (sign free).
-    ctx = StickelbergerContext(p)
     alpha = data.alpha
     cong_ok = True
     checked = []
     norm_elem = GroupRingElement.norm_element(p)
-    candidates = [norm_elem, norm_elem.scale(2), fueter(ctx, 1).scale(p)]
+    candidates = [norm_elem, norm_elem.scale(2), fueter(p, 1).scale(p)]
     one = CycloInt.from_rational(p, 1)
     for theta in candidates:
-        if fermat_quotient(ctx, theta) != 0:
+        if fermat_quotient(theta) != 0:
             continue
         gamma = alpha.group_ring_power(theta)
         units = []

@@ -21,12 +21,14 @@ def iroot(n: int, k: int) -> int:
         return n
     if k == 2:
         return math.isqrt(n)
-    x = int(round(n ** (1.0 / k))) + 2
-    while x ** k > n:
-        x -= 1
-    while (x + 1) ** k <= n:
-        x += 1
-    return x
+    # integer Newton from 2^ceil(bits/k) > n^(1/k): the iterates fall
+    # strictly until the floor is reached (no float, so no overflow)
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
 
 
 def is_perfect_power(n: int, k: int) -> Optional[int]:

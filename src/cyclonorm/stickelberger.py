@@ -1,16 +1,19 @@
 """Generators and structure of the Stickelberger ideal.
 
 Fuchsian and Fueter elements, the Fermat quotient map, modified idempotents,
-Bernoulli numbers mod p computed along two independent routes, and the
-irregularity profile.
+Bernoulli numbers mod p computed along two independent routes, the
+irregularity profile, and the weight-2 annihilator.  Everything is a function
+of the prime p (the quotient map reads it from its argument); the generator
+families and the Bernoulli table are cached per p, and a p that is not an odd
+prime raises ValueError.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from . import linalg
 from .group_ring import (
@@ -18,57 +21,28 @@ from .group_ring import (
     idempotent_mod_p,
     is_prime,
     subgroup_fix_test,
-    weights,
 )
 
 
-class ConstructionFailed(Exception):
-    """No element with the requested properties exists at this prime."""
-
-
-@dataclass
-class StickelbergerContext:
-    p: int
-    _fuchsian: Dict[int, GroupRingElement] = field(default_factory=dict)
-    _fueter: Dict[int, GroupRingElement] = field(default_factory=dict)
-    _bernoulli: Optional[Dict[int, int]] = None
-
-    def __post_init__(self):
-        if not is_prime(self.p) or self.p < 3:
-            raise ValueError(f"p must be an odd prime, got {self.p}")
-
-
-def fuchsian(ctx: StickelbergerContext, n: int) -> GroupRingElement:
+@functools.cache
+def fuchsian(p: int, n: int) -> GroupRingElement:
     """Theta_n = (n - sigma_n) * (1/p) sum c sigma_c^{-1}, coefficients floor(nc/p)."""
-    p = ctx.p
     if not 2 <= n <= p:
         raise ValueError(f"Fuchsian index {n} outside 2..{p}")
-    if n not in ctx._fuchsian:
-        ctx._fuchsian[n] = GroupRingElement(
-            p, tuple((n * c) // p for c in range(1, p))
-        )
-    return ctx._fuchsian[n]
+    return GroupRingElement(p, tuple((n * c) // p for c in range(1, p)))
 
 
-def fueter(ctx: StickelbergerContext, n: int) -> GroupRingElement:
+@functools.cache
+def fueter(p: int, n: int) -> GroupRingElement:
     """psi_n = Theta_{n+1} - Theta_n, a positive relative-weight-1 generator."""
-    p = ctx.p
     if not 1 <= n <= (p - 1) // 2:
         raise ValueError(f"Fueter index {n} outside 1..{(p-1)//2}")
-    if n not in ctx._fueter:
-        if n == 1:
-            elem = fuchsian(ctx, 2)
-        else:
-            elem = fuchsian(ctx, n + 1) - fuchsian(ctx, n)
-        ctx._fueter[n] = elem
-    return ctx._fueter[n]
+    return fuchsian(p, 2) if n == 1 else fuchsian(p, n + 1) - fuchsian(p, n)
 
 
-def fermat_quotient(ctx: StickelbergerContext, t: GroupRingElement) -> int:
+def fermat_quotient(t: GroupRingElement) -> int:
     """phi(t) = sum_c c^{p-2} n_c mod p; satisfies zeta^t = zeta^{phi(t)}."""
-    p = ctx.p
-    if t.p != p:
-        raise ValueError("mismatched primes")
+    p = t.p
     coeffs = t.coeffs
     return sum(pow(c, p - 2, p) * coeffs[c - 1] for c in range(1, p)) % p
 
@@ -131,43 +105,45 @@ def bernoulli_mod_p_kummer(p: int, k: int) -> int:
     return num * den_inv * m_inv % p
 
 
-def bernoulli_table(ctx: StickelbergerContext) -> Dict[int, int]:
-    """{odd k in 3..p-2: B_{1, omega^{-k}} mod p}, cross-checked along both routes."""
-    if ctx._bernoulli is None:
-        p = ctx.p
-        table = {}
-        for k in range(3, p - 1, 2):
-            v1 = bernoulli_mod_p_teichmuller(p, k)
-            v2 = bernoulli_mod_p_kummer(p, k)
-            if v1 != v2:
-                raise ArithmeticError(
-                    f"Bernoulli cross-check mismatch at p={p}, k={k}: {v1} != {v2}"
-                )
-            table[k] = v1
-        ctx._bernoulli = table
-    return ctx._bernoulli
+@functools.cache
+def bernoulli_table(p: int) -> Dict[int, int]:
+    """{odd k in 3..p-2: B_{1, omega^{-k}} mod p}, cross-checked along both routes.
+
+    The cached dict is shared by every caller: read it, or copy it first.
+    """
+    if not is_prime(p) or p < 3:
+        raise ValueError(f"p must be an odd prime, got {p}")
+    table = {}
+    for k in range(3, p - 1, 2):
+        v1 = bernoulli_mod_p_teichmuller(p, k)
+        v2 = bernoulli_mod_p_kummer(p, k)
+        if v1 != v2:
+            raise ArithmeticError(
+                f"Bernoulli cross-check mismatch at p={p}, k={k}: {v1} != {v2}"
+            )
+        table[k] = v1
+    return table
 
 
 # -- modified idempotents -------------------------------------------------------------
 
 
-def theta_p(ctx: StickelbergerContext) -> GroupRingElement:
-    return fuchsian(ctx, ctx.p)
+def theta_p(p: int) -> GroupRingElement:
+    return fuchsian(p, p)
 
 
-def modified_idempotent(ctx: StickelbergerContext, k: int) -> GroupRingElement:
+def modified_idempotent(p: int, k: int) -> GroupRingElement:
     """E_k in F_p[G]: the Stickelberger multiple of e_k.
 
     E_k = B_{1, omega^{-k}} e_k for odd k >= 3; the k = 1 member is fixed by
     the convention E_1 = -Theta_p (so E_1 = e_1 in F_p[G] and phi(E_1) = 1).
     """
-    p = ctx.p
     if k % 2 == 0 or not 1 <= k <= p - 2:
         raise ValueError("modified idempotents are indexed by odd k in 1..p-2")
     if k == 1:
-        return (-theta_p(ctx)).reduce(p)
-    b = bernoulli_table(ctx)[k]
-    return idempotent_mod_p(p, k).element.scale(b).reduce(p)
+        return (-theta_p(p)).reduce(p)
+    b = bernoulli_table(p)[k]
+    return idempotent_mod_p(p, k).scale(b).reduce(p)
 
 
 @dataclass(frozen=True)
@@ -184,12 +160,11 @@ class BernoulliProfile:
     rank_lower_bound_ok: bool        # r_p >= (p-1)/4
 
 
-def minus_part_rank(ctx: StickelbergerContext) -> int:
+def minus_part_rank(p: int) -> int:
     """Rank over F_p of the span of (1 - conj) sigma_c psi_n for all c, n."""
-    p = ctx.p
     rows = []
     for n in range(1, (p - 1) // 2 + 1):
-        psi = fueter(ctx, n)
+        psi = fueter(p, n)
         for c in range(1, p):
             elem = GroupRingElement.sigma(p, c) * psi
             rows.append([(a - b) % p for a, b in zip(elem.coeffs, elem.conjugate().coeffs)])
@@ -199,14 +174,13 @@ def minus_part_rank(ctx: StickelbergerContext) -> int:
     return sum(hnf[i][i] == 1 for i in range(p - 1))
 
 
-def bernoulli_profile(ctx: StickelbergerContext) -> BernoulliProfile:
-    p = ctx.p
-    table = bernoulli_table(ctx)
+def bernoulli_profile(p: int) -> BernoulliProfile:
+    table = bernoulli_table(p)
     irregular = tuple(sorted(k for k, v in table.items() if v == 0))
     i_p = len(irregular)
     surviving = tuple(sorted([1] + [k for k, v in table.items() if v != 0]))
     r_p = len(surviving)
-    rank = minus_part_rank(ctx)
+    rank = minus_part_rank(p)
     return BernoulliProfile(
         p=p,
         table=dict(table),
@@ -228,7 +202,6 @@ def bernoulli_profile(ctx: StickelbergerContext) -> BernoulliProfile:
 class Annihilator:
     element: GroupRingElement
     recipe: str                      # 'double-fueter' | 'two-term' | 'search'
-    quotient: int                    # phi value, always 0
     fixed_by: Tuple[Tuple[int, int], ...]  # nontrivial fixing subgroups (order, gen)
 
     @property
@@ -236,76 +209,51 @@ class Annihilator:
         return not self.fixed_by
 
 
-def _candidate(ctx, elem, recipe) -> Annihilator:
-    q = fermat_quotient(ctx, elem)
-    fixing = tuple((o, g) for o, g in subgroup_fix_test(elem) if o > 1)
-    return Annihilator(elem, recipe, q, fixing)
+def _candidate(elem: GroupRingElement, recipe: str) -> Annihilator:
+    return Annihilator(elem, recipe, tuple((o, g) for o, g in subgroup_fix_test(elem) if o > 1))
 
 
-def construct_weight2_annihilator(
-    ctx: StickelbergerContext, require_unfixed: bool = True
-) -> Annihilator:
+def construct_weight2_annihilator(p: int) -> Annihilator:
     """A positive relative-weight-2 element with vanishing Fermat quotient.
 
-    Primary recipe: 2 psi_n when some phi(psi_n) = 0, else
-    sigma_a psi_1 + sigma_b psi_2 with a = phi(psi_2), b = -phi(psi_1).
-    Fallback: exhaustive search over sigma_a psi_m + sigma_b psi_n.  With
-    require_unfixed the result must in addition not be fixed by any nontrivial
-    subgroup; at p in {5, 7} no such element exists and ConstructionFailed is
-    raised (the norm element is the only quotient-zero candidate at 5, and the
-    survivors at 7 are fixed by the order-3 subgroup).
+    Each sigma_a psi_n has relative weight 1, and phi(sigma_a t) = a phi(t),
+    so every candidate below has relative weight 2 and quotient 0.  The
+    preferred one is not fixed by any nontrivial subgroup (the norm element
+    is fixed by all of them).  Recipes first: 2 psi_n when phi(psi_n) = 0,
+    then sigma_a psi_1 + sigma_b psi_2 with a = phi(psi_2), b = -phi(psi_1).
+    Then the exhaustive search over sigma_a psi_m + sigma_b psi_n, smallest
+    (m, n, a, b) first.  When no candidate is unfixed (p in {5, 7}), the
+    first subgroup-fixed search element other than the norm element is
+    returned, else the norm element, which m = n = 1, b = -a always reaches:
+    at 5 the norm element is the only candidate, at 7 the others are fixed
+    by the order-3 subgroup.
     """
-    p = ctx.p
     if p < 5:
         raise ValueError("needs p >= 5")
     half = (p - 1) // 2
-    candidates: List[Annihilator] = []
+    quotient = {n: fermat_quotient(fueter(p, n)) for n in range(1, half + 1)}
+    sigma = functools.partial(GroupRingElement.sigma, p)
 
-    for n in range(1, half + 1):
-        if fermat_quotient(ctx, fueter(ctx, n)) == 0:
-            candidates.append(_candidate(ctx, fueter(ctx, n).scale(2), "double-fueter"))
-
-    a = fermat_quotient(ctx, fueter(ctx, 2))
-    b = (-fermat_quotient(ctx, fueter(ctx, 1))) % p
-    if a != 0 and b != 0:
-        elem = GroupRingElement.sigma(p, a) * fueter(ctx, 1) \
-            + GroupRingElement.sigma(p, b) * fueter(ctx, 2)
-        if fermat_quotient(ctx, elem) == 0:
-            candidates.append(_candidate(ctx, elem, "two-term"))
-
-    norm = GroupRingElement.norm_element(p)
-    for cand in candidates:
-        if cand.element != norm and weights(cand.element).relative == 2 and cand.is_unfixed:
+    recipes = [(fueter(p, n).scale(2), "double-fueter")
+               for n in range(1, half + 1) if quotient[n] == 0]
+    a, b = quotient[2], -quotient[1] % p
+    if a and b:
+        recipes.append((sigma(a) * fueter(p, 1) + sigma(b) * fueter(p, 2), "two-term"))
+    for elem, recipe in recipes:
+        cand = _candidate(elem, recipe)
+        if cand.is_unfixed:
             return cand
 
-    # Exhaustive fallback, smallest (m, n, a, b) first.  Preference order:
-    # unfixed non-norm > subgroup-fixed non-norm > the norm element.
-    fixed_fallback: Optional[Annihilator] = None
-    norm_fallback: Optional[Annihilator] = None
+    fixed: List[Annihilator] = []
     for m in range(1, half + 1):
-        qm = fermat_quotient(ctx, fueter(ctx, m))
         for n in range(m, half + 1):
-            qn = fermat_quotient(ctx, fueter(ctx, n))
             for a in range(1, p):
                 for b in range(1, p):
-                    if (a * qm + b * qn) % p != 0:
-                        continue
-                    elem = GroupRingElement.sigma(p, a) * fueter(ctx, m) \
-                        + GroupRingElement.sigma(p, b) * fueter(ctx, n)
-                    if weights(elem).relative != 2:
-                        continue
-                    cand = _candidate(ctx, elem, "search")
-                    if elem == norm:
-                        norm_fallback = norm_fallback or cand
-                    elif cand.is_unfixed:
-                        return cand
-                    else:
-                        fixed_fallback = fixed_fallback or cand
-    if not require_unfixed:
-        best = fixed_fallback or norm_fallback
-        if best is not None:
-            return best
-    raise ConstructionFailed(
-        f"no positive relative-weight-2 element with zero Fermat quotient and "
-        f"trivial stabilizer exists at p={p}"
-    )
+                    if (a * quotient[m] + b * quotient[n]) % p == 0:
+                        cand = _candidate(sigma(a) * fueter(p, m) + sigma(b) * fueter(p, n),
+                                          "search")
+                        if cand.is_unfixed:
+                            return cand
+                        fixed.append(cand)
+    norm = GroupRingElement.norm_element(p)
+    return min(fixed, key=lambda cand: cand.element == norm)

@@ -76,25 +76,25 @@ def test_idempotent_relations(p):
     one = GroupRingElement.one(p, p)
     total = GroupRingElement.zero(p, p)
     for e in es:
-        assert e.element * e.element == e.element
-        total = total + e.element
+        assert e * e == e
+        total = total + e
     assert total == one
     for i in range(p - 1):
         for j in range(i + 1, p - 1):
-            assert (es[i].element * es[j].element).is_zero()
+            assert (es[i] * es[j]).is_zero()
     # conjugation sign and the character twist
     for k in range(p - 1):
-        assert es[k].element.conjugate() == es[k].element.scale(pow(p - 1, k, p)).reduce(p)
+        assert es[k].conjugate() == es[k].scale(pow(p - 1, k, p)).reduce(p)
         for m in range(1, p):
-            lhs = GroupRingElement.sigma(p, m, p) * es[k].element
-            assert lhs == es[k].element.scale(pow(m, k, p)).reduce(p)
+            lhs = GroupRingElement.sigma(p, m, p) * es[k]
+            assert lhs == es[k].scale(pow(m, k, p)).reduce(p)
 
 
 def test_idempotent_examples():
-    e0 = idempotent_mod_p(5, 0).element
+    e0 = idempotent_mod_p(5, 0)
     assert e0 == GroupRingElement.norm_element(5).scale(4).reduce(5)
     # sigma_2 e_1 = 2 e_1
-    e1 = idempotent_mod_p(5, 1).element
+    e1 = idempotent_mod_p(5, 1)
     assert GroupRingElement.sigma(5, 2, 5) * e1 == e1.scale(2).reduce(5)
 
 

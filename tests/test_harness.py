@@ -154,7 +154,7 @@ def test_pipeline_rejects_bad_input():
 def test_pipeline_refuses_inert_digit_base(monkeypatch, capsys, p, y):
     # y is a power of a prime inert in Q(zeta_p): every p-th root of unity
     # mod y is global, so the run is refused before its first stage
-    def no_stage_zero(ctx):
+    def no_stage_zero(p):
         raise AssertionError("stage 0 ran on an inert digit base")
 
     monkeypatch.setattr(harness, "construct_weight2_annihilator", no_stage_zero)
@@ -168,7 +168,7 @@ def test_pipeline_refuses_inert_digit_base(monkeypatch, capsys, p, y):
 def test_pipeline_refuses_digit_base_below_two(monkeypatch, capsys, y):
     # the semilocal stages work modulo powers of y, so y < 2 is refused
     # before stage 0 with a message that names y, not an internal modulus
-    def no_stage_zero(ctx):
+    def no_stage_zero(p):
         raise AssertionError("stage 0 ran on a digit base below 2")
 
     monkeypatch.setattr(harness, "construct_weight2_annihilator", no_stage_zero)
@@ -184,7 +184,7 @@ def test_pipeline_refuses_digit_base_below_two(monkeypatch, capsys, y):
 def test_pipeline_refuses_precision_or_level_below_one(monkeypatch, capsys, flag, value):
     # refused before stage 0, not by a traceback or an internal modulus
     # after the series stages
-    def no_stage_zero(ctx):
+    def no_stage_zero(p):
         raise AssertionError("stage 0 ran with a precision or level below 1")
 
     monkeypatch.setattr(harness, "construct_weight2_annihilator", no_stage_zero)
@@ -275,21 +275,31 @@ def test_exponent_element_record_fails_on_a_wrong_element(monkeypatch, wrong):
     # one of relative weight 2, nonnegativity and Fermat quotient 0
     real = harness.construct_weight2_annihilator
 
-    def tampered(ctx):
-        ann = real(ctx)
-        p = ctx.p
+    def tampered(p):
+        ann = real(p)
         if wrong == "relative-weight":
             element = ann.element.scale(3)
         elif wrong == "negative-coefficient":       # same weight and quotient
             twist = GroupRingElement.sigma(p, 1) - GroupRingElement.sigma(p, p - 1)
             element = ann.element + twist.scale(p)
         else:
-            element = harness.fueter(ctx, 1).scale(2)     # quotient 9 at p = 11
+            element = harness.fueter(p, 1).scale(2)     # quotient 9 at p = 11
         return dataclasses.replace(ann, element=element)
 
     monkeypatch.setattr(harness, "construct_weight2_annihilator", tampered)
     rep = cmd_pipeline(RunConfig("pipeline", p=11, x=2, y=25))
     assert _record(rep, "exponent-element").status == "fail"
+
+
+def test_root_of_unity_record_fails_on_a_wrong_root(monkeypatch):
+    # 2 rho is not a global root either, but its p-th power is 2^p, not 1
+    assert _record(cmd_pipeline(RunConfig("pipeline", p=5, x=3, y=22)),
+                   "root-of-unity").status == "pass"
+    real = harness.semilocal.synthetic_root_of_unity
+    monkeypatch.setattr(harness.semilocal, "synthetic_root_of_unity",
+                        lambda *args, **kwargs: real(*args, **kwargs).scale(2))
+    rep = cmd_pipeline(RunConfig("pipeline", p=5, x=3, y=22))
+    assert _record(rep, "root-of-unity").status == "fail"
 
 
 def test_search_hits_record_fails_on_a_wrong_hit(monkeypatch):
@@ -379,6 +389,24 @@ def test_cli_exit_codes(tmp_path):
     assert main(["siegel", "--matrix", str(mat), "--out", str(out)]) == 0
     w = [int(t) for t in out.read_text().split()]
     assert sum(w) == 0 and any(w)
+
+
+def test_cli_finishes_on_values_beyond_float_range(tmp_path, capsys):
+    # the p = 211 search values and a 10^400 entry both reach integer k-th
+    # roots far above the largest double
+    base = tmp_path / "search"
+    assert main(["search", "--p", "211", "--bound", "30", "--out", str(base)]) == 0
+    tree = json.loads((tmp_path / "search.json").read_text())
+    hits = [r for r in tree["records"] if r["name"] == "search-hits"]
+    assert hits[0]["outputs"]["count"] == 0 and hits[0]["status"] == "pass"
+    mat = tmp_path / "m.txt"
+    mat.write_text(f"1 4\n{10 ** 400} 1 1 1\n")
+    capsys.readouterr()
+    assert main(["siegel", "--matrix", str(mat)]) == 0
+    captured = capsys.readouterr()
+    w = [int(t) for t in captured.out.split()]
+    assert len(w) == 4 and any(w) and 10 ** 400 * w[0] + w[1] + w[2] + w[3] == 0
+    assert captured.err == ""
 
 
 def test_cli_report_rerender(tmp_path):

@@ -33,8 +33,6 @@ from cyclonorm.lattice import (
 from cyclonorm.series import DoubleTable, binom_coeffs, double_table, equivariance_check
 from cyclonorm.semilocal import synthetic_root_of_unity
 from cyclonorm.stickelberger import (
-    ConstructionFailed,
-    StickelbergerContext,
     construct_weight2_annihilator,
     fueter,
 )
@@ -201,7 +199,7 @@ def test_matrix_file_roundtrip(tmp_path):
 
 
 def genuine_table(p=5, y=106, x=3, depth=6, seed=0):
-    tab = binom_coeffs(fueter(StickelbergerContext(p), 1).scale(2), depth + 2, full=True)
+    tab = binom_coeffs(fueter(p, 1).scale(2), depth + 2, full=True)
     rho = synthetic_root_of_unity(p, y, depth + 2, seed=seed)
     return tab, double_table(tab, rho, x, y, depth=depth)
 
@@ -311,11 +309,9 @@ PAPER_REGIME_PINS = {
 def test_paper_regime_layers_pinned_at_p61():
     p, x, y, depth = 61, 2, 127, 11
     assert depth == guard_depth(p)
-    ctx = StickelbergerContext(p)
-    try:
-        theta = construct_weight2_annihilator(ctx).element
-    except ConstructionFailed:
-        theta = fueter(ctx, 1).scale(2)
+    ann = construct_weight2_annihilator(p)
+    assert ann.is_unfixed
+    theta = ann.element
     tab = binom_coeffs(theta, depth + 2)
     assert equivariance_check(tab)
     dt = double_table(tab, synthetic_root_of_unity(p, y, depth + 1, seed=0), x, y, depth)
@@ -349,7 +345,7 @@ def test_twist_selection_toy_scale():
 
 def test_twist_selection_p7():
     p, y, x = 7, 211, 2
-    tab = binom_coeffs(fueter(StickelbergerContext(p), 1).scale(2), 9, full=True)
+    tab = binom_coeffs(fueter(p, 1).scale(2), 9, full=True)
     rho = synthetic_root_of_unity(p, y, 9)
     dt = double_table(tab, rho, x, y, depth=7)
     mt = perturb_for_independence(dt)
@@ -363,7 +359,7 @@ def test_twist_selection_reports_the_enumeration_limit(monkeypatch):
     # with the search stopped at once, no twist yields a vector; that proves
     # nothing, so the scan must name the limit, not claim a contradiction
     p, y, x = 7, 211, 2
-    tab = binom_coeffs(fueter(StickelbergerContext(p), 1).scale(2), 9, full=True)
+    tab = binom_coeffs(fueter(p, 1).scale(2), 9, full=True)
     rho = synthetic_root_of_unity(p, y, 9)
     mt = perturb_for_independence(double_table(tab, rho, x, y, depth=7))
     monkeypatch.setattr(lattice, "ENUMERATION_LIMIT", 0)

@@ -26,6 +26,26 @@ def test_iroot_bracket(n, k):
     assert r ** k <= n < (r + 1) ** k
 
 
+@given(st.integers(min_value=0, max_value=10 ** 700), st.integers(min_value=2, max_value=12))
+def test_iroot_bracket_at_any_size(n, k):
+    r = linalg.iroot(n, k)
+    assert r ** k <= n < (r + 1) ** k
+
+
+@pytest.mark.parametrize("k", range(3, 8))
+def test_iroot_exact_at_80_digit_roots(k):
+    # for k >= 4, r^k is above the largest double (about 1.8e308); for
+    # k = 3 it is not, but r is far beyond a double's 53-bit precision
+    r = 10 ** 80 + 12345
+    assert linalg.iroot(r ** k - 1, k) == r - 1
+    assert linalg.iroot(r ** k, k) == r
+    assert linalg.iroot(r ** k + 1, k) == r
+    assert linalg.is_perfect_power(r ** k, k) == r
+    assert linalg.is_perfect_power(-r ** k, k) == (-r if k % 2 else None)
+    assert linalg.is_perfect_power(r ** k - 1, k) is None
+    assert linalg.is_perfect_power(r ** k + 1, k) is None
+
+
 def test_perfect_power():
     assert linalg.is_perfect_power(343, 3) == 7
     assert linalg.is_perfect_power(-343, 3) == -7

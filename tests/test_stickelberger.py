@@ -10,8 +10,6 @@ from cyclonorm import linalg
 from cyclonorm.cyclotomic import CycloInt
 from cyclonorm.group_ring import GroupRingElement, subgroup_fix_test, weights
 from cyclonorm.stickelberger import (
-    ConstructionFailed,
-    StickelbergerContext,
     bernoulli_mod_p_kummer,
     bernoulli_mod_p_teichmuller,
     bernoulli_profile,
@@ -29,35 +27,38 @@ from cyclonorm.stickelberger import (
 PRIMES = [5, 7, 11, 13, 37]
 
 
-@pytest.fixture(scope="module")
-def contexts():
-    return {p: StickelbergerContext(p) for p in PRIMES}
-
-
-def test_fuchsian_examples(contexts):
-    ctx = contexts[5]
-    assert fuchsian(ctx, 2) == GroupRingElement.from_inverse_coeffs(5, {3: 1, 4: 1})
-    assert fuchsian(ctx, 5).coeffs == (1, 2, 3, 4)
+def test_fuchsian_examples():
+    assert fuchsian(5, 2) == GroupRingElement.from_inverse_coeffs(5, {3: 1, 4: 1})
+    assert fuchsian(5, 5).coeffs == (1, 2, 3, 4)
     # sigma_c^{-1} translation: coefficient c sits at sigma_c^{-1}
     s = GroupRingElement.sigma
-    assert fuchsian(ctx, 5) == s(5, 1) + s(5, 3).scale(2) + s(5, 2).scale(3) + s(5, 4).scale(4)
+    assert fuchsian(5, 5) == s(5, 1) + s(5, 3).scale(2) + s(5, 2).scale(3) + s(5, 4).scale(4)
     with pytest.raises(ValueError):
-        fuchsian(ctx, 1)
+        fuchsian(5, 1)
     with pytest.raises(ValueError):
-        fuchsian(ctx, 6)
+        fuchsian(5, 6)
+
+
+@pytest.mark.parametrize("p", [4, 9, 15])
+def test_p_not_an_odd_prime_is_refused(p):
+    calls = [lambda: fuchsian(p, 2), lambda: fueter(p, 1), lambda: theta_p(p),
+             lambda: minus_part_rank(p), lambda: bernoulli_profile(p),
+             lambda: modified_idempotent(p, 3), lambda: construct_weight2_annihilator(p)]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
 
 
 @pytest.mark.parametrize("p", PRIMES)
-def test_fueter_structure(p, contexts):
-    ctx = contexts[p]
+def test_fueter_structure(p):
     half = (p - 1) // 2
     # first generator: support over the upper half indices
     expected = GroupRingElement.from_inverse_coeffs(p, {c: 1 for c in range(half + 1, p)})
-    assert fueter(ctx, 1) == expected == fuchsian(ctx, 2)
+    assert fueter(p, 1) == expected == fuchsian(p, 2)
     for n in range(1, half + 1):
-        psi = fueter(ctx, n)
+        psi = fueter(p, n)
         if n > 1:
-            assert psi == fuchsian(ctx, n + 1) - fuchsian(ctx, n)
+            assert psi == fuchsian(p, n + 1) - fuchsian(p, n)
         w = weights(psi)
         assert w.relative == 1 and w.nonnegative and w.absolute == half
         support = set(psi.support())
@@ -66,33 +67,30 @@ def test_fueter_structure(p, contexts):
 
 
 @pytest.mark.parametrize("p", PRIMES)
-def test_fermat_quotient_two_paths(p, contexts):
-    ctx = contexts[p]
+def test_fermat_quotient_two_paths(p):
     for n in range(2, p + 1):
-        assert fermat_quotient(ctx, fuchsian(ctx, n)) == fermat_quotient_classical(p, n)
-    assert fermat_quotient(ctx, theta_p(ctx)) == p - 1
+        assert fermat_quotient(fuchsian(p, n)) == fermat_quotient_classical(p, n)
+    assert fermat_quotient(theta_p(p)) == p - 1
 
 
-def test_fermat_quotient_example_p5(contexts):
-    ctx = contexts[5]
+def test_fermat_quotient_example_p5():
     # direct power-sum evaluation: 3^3 + 4^3 = 91 = 1 mod 5 = (2^5 - 2)/5 mod 5
-    assert fermat_quotient(ctx, fuchsian(ctx, 2)) == 91 % 5 == 1
+    assert fermat_quotient(fuchsian(5, 2)) == 91 % 5 == 1
     assert ((2 ** 5 - 2) // 5) % 5 == 1
 
 
 @pytest.mark.parametrize("p", PRIMES)
-def test_fermat_quotient_linear_and_action(p, contexts):
-    ctx = contexts[p]
+def test_fermat_quotient_linear_and_action(p):
     rng = random.Random(p)
     z = CycloInt.zeta_power(p, 1)
     for _ in range(25):
         t1 = GroupRingElement(p, tuple(rng.randrange(-9, 10) for _ in range(p - 1)))
         t2 = GroupRingElement(p, tuple(rng.randrange(-9, 10) for _ in range(p - 1)))
         a, b = rng.randrange(-5, 6), rng.randrange(-5, 6)
-        assert fermat_quotient(ctx, t1.scale(a) + t2.scale(b)) == \
-            (a * fermat_quotient(ctx, t1) + b * fermat_quotient(ctx, t2)) % p
+        assert fermat_quotient(t1.scale(a) + t2.scale(b)) == \
+            (a * fermat_quotient(t1) + b * fermat_quotient(t2)) % p
         pos = GroupRingElement(p, tuple(rng.randrange(0, 4) for _ in range(p - 1)))
-        assert z.group_ring_power(pos) == CycloInt.zeta_power(p, fermat_quotient(ctx, pos))
+        assert z.group_ring_power(pos) == CycloInt.zeta_power(p, fermat_quotient(pos))
 
 
 def test_bernoulli_rational_against_sympy():
@@ -109,10 +107,10 @@ def test_bernoulli_two_routes_agree(p):
         assert bernoulli_mod_p_teichmuller(p, k) == bernoulli_mod_p_kummer(p, k)
 
 
-def test_irregularity_profiles(contexts):
-    prof7 = bernoulli_profile(contexts[7])
+def test_irregularity_profiles():
+    prof7 = bernoulli_profile(7)
     assert prof7.irregularity_index == 0
-    prof37 = bernoulli_profile(contexts[37])
+    prof37 = bernoulli_profile(37)
     assert prof37.irregularity_index == 1
     assert prof37.irregular_indices == (5,)      # p - k = 32
     assert 37 - prof37.irregular_indices[0] == 32
@@ -122,8 +120,8 @@ def test_irregularity_profiles(contexts):
 
 
 @pytest.mark.parametrize("p", PRIMES)
-def test_profile_bounds_and_rank(p, contexts):
-    prof = bernoulli_profile(contexts[p])
+def test_profile_bounds_and_rank(p):
+    prof = bernoulli_profile(p)
     assert prof.lepisto_ok                      # 4 i_p < p - 1
     assert prof.surviving_count == (p - 1) // 2 - prof.irregularity_index
     assert prof.rank_matches
@@ -151,13 +149,13 @@ def rank_mod_p_reference(rows, p):
 
 
 @pytest.mark.parametrize("p", PRIMES)
-def test_minus_part_rank_against_elimination(p, contexts):
+def test_minus_part_rank_against_elimination(p):
     rows = []
     for n in range(1, (p - 1) // 2 + 1):
         for c in range(1, p):
-            elem = GroupRingElement.sigma(p, c) * fueter(contexts[p], n)
+            elem = GroupRingElement.sigma(p, c) * fueter(p, n)
             rows.append([(a - b) % p for a, b in zip(elem.coeffs, elem.conjugate().coeffs)])
-    assert minus_part_rank(contexts[p]) == rank_mod_p_reference(rows, p)
+    assert minus_part_rank(p) == rank_mod_p_reference(rows, p)
 
 
 @st.composite
@@ -184,14 +182,13 @@ def test_hnf_pivots_of_one_count_the_rank_mod_p(case):
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
-def test_modified_idempotents(p, contexts):
-    ctx = contexts[p]
-    prof = bernoulli_profile(ctx)
-    e1 = modified_idempotent(ctx, 1)
-    assert fermat_quotient(ctx, e1) == 1
+def test_modified_idempotents(p):
+    prof = bernoulli_profile(p)
+    e1 = modified_idempotent(p, 1)
+    assert fermat_quotient(e1) == 1
     for k in range(3, p - 1, 2):
-        ek = modified_idempotent(ctx, k)
-        assert fermat_quotient(ctx, ek) == 0
+        ek = modified_idempotent(p, k)
+        assert fermat_quotient(ek) == 0
         if k in prof.surviving:
             for m in range(2, p):
                 assert GroupRingElement.sigma(p, m, p) * ek == ek.scale(pow(m, k, p)).reduce(p)
@@ -199,41 +196,58 @@ def test_modified_idempotents(p, contexts):
             assert ek.is_zero()
 
 
-def test_annihilator_across_primes(contexts):
+def test_annihilator_across_primes():
     # p = 5: the norm element is the only quotient-zero candidate
-    with pytest.raises(ConstructionFailed):
-        construct_weight2_annihilator(contexts[5])
-    relaxed5 = construct_weight2_annihilator(contexts[5], require_unfixed=False)
-    assert relaxed5.element == GroupRingElement.norm_element(5)
-    assert fermat_quotient(contexts[5], relaxed5.element) == 0
+    ann5 = construct_weight2_annihilator(5)
+    assert not ann5.is_unfixed
+    assert ann5.element == GroupRingElement.norm_element(5)
+    assert fermat_quotient(ann5.element) == 0
 
     # p = 7: candidates exist but are fixed by the order-3 subgroup
-    with pytest.raises(ConstructionFailed):
-        construct_weight2_annihilator(contexts[7])
-    relaxed7 = construct_weight2_annihilator(contexts[7], require_unfixed=False)
-    assert relaxed7.element != GroupRingElement.norm_element(7)
-    assert weights(relaxed7.element).relative == 2
-    assert fermat_quotient(contexts[7], relaxed7.element) == 0
-    assert relaxed7.fixed_by and relaxed7.fixed_by[0][0] == 3
+    ann7 = construct_weight2_annihilator(7)
+    assert not ann7.is_unfixed
+    assert ann7.element != GroupRingElement.norm_element(7)
+    assert weights(ann7.element).relative == 2
+    assert fermat_quotient(ann7.element) == 0
+    assert ann7.fixed_by and ann7.fixed_by[0][0] == 3
 
     # p >= 11: the two-term recipe provides a stabilizer-free element
     for p in (11, 13, 37):
-        ann = construct_weight2_annihilator(contexts[p])
+        ann = construct_weight2_annihilator(p)
         assert ann.is_unfixed
         assert weights(ann.element).relative == 2
         assert weights(ann.element).nonnegative
-        assert fermat_quotient(contexts[p], ann.element) == 0
+        assert fermat_quotient(ann.element) == 0
         assert all(o == 1 for o, _ in subgroup_fix_test(ann.element))
 
 
-def test_stabilizer_finding_second_generator_p7(contexts):
+# (recipe, coefficients, fixed_by) of each branch, recorded from the search
+# that ran strict and then relaxed: the norm element at 5, a search element
+# fixed by the order-3 subgroup at 7, the two-term recipe at 11, and 2 psi_3
+# at 59, the least prime that takes the double-fueter recipe
+ANNIHILATOR_PINS = {
+    5: ("search", (1, 1, 1, 1), ((2, 4), (4, 2))),
+    7: ("search", (0, 0, 2, 0, 2, 2), ((3, 2),)),
+    11: ("two-term", (0, 0, 0, 1, 1, 1, 1, 2, 2, 2), ()),
+    59: ("double-fueter", (0,) * 14 + (2,) * 5 + (0,) * 10 + (2,) * 10 + (0,) * 5 + (2,) * 14,
+         ()),
+}
+
+
+@pytest.mark.parametrize("p", sorted(ANNIHILATOR_PINS))
+def test_annihilator_branches_pinned(p):
+    ann = construct_weight2_annihilator(p)
+    assert (ann.recipe, ann.element.coeffs, ann.fixed_by) == ANNIHILATOR_PINS[p]
+
+
+def test_stabilizer_finding_second_generator_p7():
     """The second generator at p = 7 is fixed by the order-3 subgroup.
 
     This pins the boundary of the subgroup-invariance transfer: the fixed
     difference is annihilated even though the cofactor moves.
     """
-    ctx = contexts[7]
-    psi2 = fueter(ctx, 2)
+    p = 7
+    psi2 = fueter(p, 2)
     fixed = subgroup_fix_test(psi2)
     assert (3, 2) in fixed
     # the cofactor 1 + sigma_2 - sigma_3 is NOT fixed by sigma_2 ...
@@ -241,13 +255,12 @@ def test_stabilizer_finding_second_generator_p7(contexts):
     assert GroupRingElement.sigma(7, 2) * t != t
     # ... and the moved difference is annihilated by the top element
     u = GroupRingElement.sigma(7, 2) * t - t
-    assert (theta_p(ctx) * u).is_zero()
+    assert (theta_p(p) * u).is_zero()
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
-def test_invariance_transfer_forward(p, contexts):
+def test_invariance_transfer_forward(p):
     from cyclonorm.group_ring import subgroups
-    ctx = contexts[p]
     rng = random.Random(p * 31)
     for _ in range(15):
         t = GroupRingElement.zero(p)
@@ -260,11 +273,11 @@ def test_invariance_transfer_forward(p, contexts):
             base = GroupRingElement.one(p) + GroupRingElement.sigma(p, n) \
                 - GroupRingElement.sigma(p, n + 1)
             t = t + (s * base).scale(a)
-            theta = theta + (s * fueter(ctx, n)).scale(a)
+            theta = theta + (s * fueter(p, n)).scale(a)
         for order, gen in subgroups(p):
             nu = GroupRingElement.sigma(p, gen)
             if nu * t == t:
                 assert nu * theta == theta
             if nu * theta == theta and nu * t != t:
                 # converse boundary: the moved difference is annihilated
-                assert (theta_p(ctx) * (nu * t - t)).is_zero()
+                assert (theta_p(p) * (nu * t - t)).is_zero()
