@@ -23,7 +23,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import mpmath
 
-from .group_ring import GroupRingElement, is_prime
+from .group_ring import GroupRingElement, is_prime, prime_power_split, primitive_root
 from . import linalg
 
 # -- coordinate kernels on {zeta..zeta^{p-1}} ---------------------------------------
@@ -81,6 +81,27 @@ def power(x, n: int, one):
         if n:
             x = x * x
     return one if result is None else result
+
+
+def orbit_product(x, a: int, n: int):
+    """prod_{k<n} sigma_{a^k}(x) for n >= 1, on any element with `p`,
+    `galois` and `*` (CycloInt, SemilocalElement).
+
+    Climbs the subgroups of <a>: for each prime q | n, taken with its
+    multiplicity, x <- x sigma_a(x) ... sigma_{a^(q-1)}(x) and a <- a^q, so
+    the whole product costs sum (q - 1) multiplications.  Over F_r, sigma_r
+    is the Frobenius, so n = ord_p(r) gives the norm to F_r, x^((r^n-1)/(r-1)).
+    """
+    if n < 1:
+        raise ValueError(f"orbit length must be positive, got {n}")
+    for q, e in prime_power_split(n):
+        for _ in range(e):
+            acc = x
+            for _ in range(q - 1):
+                acc = x * acc.galois(a)
+            x = acc
+            a = pow(a, q, x.p)
+    return x
 
 
 @dataclass(frozen=True)
@@ -218,8 +239,8 @@ class CycloInt:
         return -sum(self.coords)
 
     def norm(self) -> int:
-        """Field norm via the determinant of the multiplication matrix."""
-        return linalg.bareiss_det([zeta_shift(self.p, self.coords, j) for j in range(1, self.p)])
+        """Field norm: the product of the p - 1 conjugates, an integer."""
+        return orbit_product(self, primitive_root(self.p), self.p - 1).as_rational()
 
     def __repr__(self) -> str:
         terms = [f"{c}*z^{e}" for e, c in zip(range(1, self.p), self.coords) if c]

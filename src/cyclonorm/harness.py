@@ -586,12 +586,12 @@ def cmd_pipeline(cfg: RunConfig) -> Report:
         level_for_clash = cfg.level
 
     z_scale = max(2 * p + 1, abs(y) - 1)
-    verdict = lattice.bound_clash(p, abs(y), z_scale, level=level_for_clash)
+    upper_dominates = lattice.bound_clash(p, abs(y), z_scale, level=level_for_clash)
     scale_ok = lattice.displayed_chain_holds(p, abs(y))
     report.add("bound-clash", "upper-bound-against-vanishing-order",
-               verdict.contradiction,
+               upper_dominates,
                {"p": p, "y": abs(y), "z_scale": z_scale, "level": level_for_clash},
-               {"upper_dominates": verdict.upper_dominates,
+               {"upper_dominates": upper_dominates,
                 "closing_chain_holds": scale_ok},
                waived=not scale_ok,
                note="" if scale_ok else

@@ -193,33 +193,21 @@ class BoxBound:
     def codimension(self) -> int:
         return self.ambient - self.rows
 
-    def sup_bound_float(self) -> float:
-        """(sqrt gram_det)^(1/(ambient - rows)) as a float, for reports."""
-        if self.codimension <= 0:
-            raise ValueError("no free directions")
-        return self.gram_det ** (1.0 / (2 * self.codimension))
-
     def sup_bound_int(self) -> int:
         """floor of the bound: any integer vector within it has sup <= this."""
         return linalg.iroot(self.gram_det, 2 * self.codimension)
 
 
-def hadamard_bv(rows: Sequence[Sequence[int]], ambient: int) -> Tuple[BoxBound, bool]:
-    """Exact Gram determinant with its Hadamard estimate.
-
-    Returns the box bound data and whether det(G) <= prod G_ii holds
-    (it always does; equality exactly for orthogonal rows).
-    """
+def hadamard_bv(rows: Sequence[Sequence[int]], ambient: int) -> BoxBound:
+    """Box-lemma data of independent rows: their exact Gram determinant, the
+    last leading minor of the integral Gram-Schmidt data."""
     if len(rows) >= ambient:
         raise ValueError("need strictly fewer rows than the ambient dimension")
-    gram = linalg.gram_matrix(rows)
-    det = linalg.bareiss_det(gram)
-    if det == 0:
-        raise ValueError("rows are linearly dependent")
-    diag_prod = 1
-    for i in range(len(gram)):
-        diag_prod *= gram[i][i]
-    return BoxBound(det, len(rows), ambient), det <= diag_prod
+    try:
+        d, _ = linalg.integral_gso(linalg.gram_matrix(rows))
+    except ValueError:
+        raise ValueError("rows are linearly dependent") from None
+    return BoxBound(d[-1], len(rows), ambient)
 
 
 # Work limit of the kernel-vector search: vectors met, one per +/- pair.
@@ -245,8 +233,7 @@ def siegel_solve(rows: Sequence[Sequence[int]], ambient: int,
     if any(len(r) != ambient for r in rows):
         raise ValueError("row length must match the ambient dimension")
     if bound is None:
-        box, _ = hadamard_bv(rows, ambient)
-        bound = box.sup_bound_int()
+        bound = hadamard_bv(rows, ambient).sup_bound_int()
     if bound < 1:
         raise ValueError(f"the sup-norm bound must be at least 1, got {bound}")
 
@@ -375,7 +362,7 @@ def inhomogeneous_select(mtable: ModifiedTable, level: Optional[int] = None) -> 
         bv_radius = box_radius
         for _, rows in twisted:
             try:
-                box, _ = hadamard_bv(rows, p - 1)
+                box = hadamard_bv(rows, p - 1)
             except ValueError:        # dependent rows: this twist has no box bound
                 continue
             bv_radius = max(bv_radius, box.sup_bound_int())
@@ -443,31 +430,15 @@ def _leading_digit_check(mtable: ModifiedTable, w: CycloInt, lvl: int,
 # -- final inequality evaluators -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClashVerdict:
-    p: int
-    y: int
-    z: int
-    level: int
-    upper_dominates: bool            # z^2 p sqrt((p-1) y)  <  y^level / 2
-    equal: bool
-
-    @property
-    def contradiction(self) -> bool:
-        """Upper bound below the lower bound: no such value can exist."""
-        return self.upper_dominates
-
-
-def bound_clash(p: int, y: int, z: int, level: int = 4) -> ClashVerdict:
-    """Compare z^2 p sqrt((p-1) y) against y^level / 2, exactly.
+def bound_clash(p: int, y: int, z: int, level: int = 4) -> bool:
+    """Whether z^2 p sqrt((p-1) y) < y^level / 2, exactly: an upper bound
+    below the lower bound, so no such value can exist.
 
     Squares both sides: 4 z^4 p^2 (p-1) y  vs  y^(2 level).
     """
     if p < 3 or y < 1 or z == 0 or level < 1:
         raise ValueError("positive sizes expected")
-    lhs = 4 * z ** 4 * p ** 2 * (p - 1) * y
-    rhs = y ** (2 * level)
-    return ClashVerdict(p, y, z, level, lhs < rhs, lhs == rhs)
+    return 4 * z ** 4 * p ** 2 * (p - 1) * y < y ** (2 * level)
 
 
 def displayed_chain_holds(p: int, y: int) -> bool:

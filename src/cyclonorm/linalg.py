@@ -46,31 +46,6 @@ def gram_matrix(rows: Sequence[Sequence[int]]) -> List[List[int]]:
     return [[sum(x * y for x, y in zip(r, s)) for s in rows] for r in rows]
 
 
-def bareiss_det(matrix: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of a square integer matrix (fraction-free Bareiss)."""
-    m = [list(row) for row in matrix]
-    n = len(m)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
 def rank_rational(rows: Iterable[Sequence]) -> int:
     """Rank over Q of a list of integer/Fraction rows."""
     space = RowSpace()
@@ -231,7 +206,7 @@ def integer_kernel(a: Sequence[Sequence[int]], ncols: int) -> List[List[int]]:
     return [k for k in kernel if any(k)]
 
 
-def _integral_gso(gram: Sequence[Sequence[int]]) -> Tuple[List[int], List[List[int]]]:
+def integral_gso(gram: Sequence[Sequence[int]]) -> Tuple[List[int], List[List[int]]]:
     """Integral Gram-Schmidt data of a linearly independent basis, from its Gram matrix.
 
     Returns (d, lam): d[0] = 1 and d[i + 1] is the Gram determinant of the
@@ -259,14 +234,14 @@ def lll_reduce(rows: Sequence[Sequence[int]], delta: Fraction = Fraction(3, 4)) 
     """LLL reduction of linearly independent integer rows (ValueError otherwise).
 
     Each row is size-reduced against all earlier rows before its Lovasz
-    test.  The Gram-Schmidt data are the integers of _integral_gso, updated
+    test.  The Gram-Schmidt data are the integers of integral_gso, updated
     in place after every size reduction and swap (Cohen, Alg. 2.6.7).
     """
     basis = [[int(x) for x in row] for row in rows]
     n = len(basis)
     if n <= 1:
         return basis
-    d, lam = _integral_gso(gram_matrix(basis))
+    d, lam = integral_gso(gram_matrix(basis))
     delta = Fraction(delta)
     k = 1
     while k < n:
@@ -313,7 +288,7 @@ def enumerate_short_vectors(basis: Sequence[Sequence[int]], radius_sq: Fraction,
     n = len(basis)
     if n == 0:
         return
-    d, lam = _integral_gso(gram_matrix(basis))
+    d, lam = integral_gso(gram_matrix(basis))
     # ||sum x_i b_i||^2 = sum_l t_l^2 / (d[l] d[l+1]) with the integers
     # t_l = d[l+1] x_l + sum_{i>l} lam[i][l] x_i; scale it by `common`
     radius_sq = Fraction(radius_sq)

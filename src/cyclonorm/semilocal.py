@@ -15,7 +15,8 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Tuple, Union
 
-from .cyclotomic import CycloInt, basis_product, galois_coords, power, zeta_shift
+from .cyclotomic import (CycloInt, basis_product, galois_coords, orbit_product, power,
+                         zeta_shift)
 from .group_ring import is_prime, prime_power_split
 
 
@@ -188,19 +189,6 @@ def _poly_mul(a: Sequence[int], b: Sequence[int], m: int) -> List[int]:
     return _poly_trim(out)
 
 
-def _poly_add(a: Sequence[int], b: Sequence[int], m: int) -> List[int]:
-    out = [0] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] = x % m
-    for i, y in enumerate(b):
-        out[i] = (out[i] + y) % m
-    return _poly_trim(out)
-
-
-def _poly_sub(a: Sequence[int], b: Sequence[int], m: int) -> List[int]:
-    return _poly_add(a, [(-y) % m for y in b], m)
-
-
 def _poly_divmod(a: Sequence[int], b: Sequence[int], m: int) -> Tuple[List[int], List[int]]:
     """Division with remainder; the leading coefficient of b must be a unit mod m."""
     a = _poly_red(a, m)
@@ -234,17 +222,6 @@ def _poly_gcd(a: Sequence[int], b: Sequence[int], r: int) -> List[int]:
     return a
 
 
-def _poly_powmod(a: Sequence[int], e: int, f: Sequence[int], m: int) -> List[int]:
-    result = [1]
-    base = _poly_mod(a, f, m)
-    while e:
-        if e & 1:
-            result = _poly_mod(_poly_mul(result, base, m), f, m)
-        base = _poly_mod(_poly_mul(base, base, m), f, m)
-        e >>= 1
-    return result
-
-
 def _cyclotomic_poly(p: int) -> List[int]:
     return [1] * p
 
@@ -252,30 +229,33 @@ def _cyclotomic_poly(p: int) -> List[int]:
 # -- factorization of Phi_p at rational primes ----------------------------------------
 
 
-def _equal_degree_split(f: List[int], d: int, r: int, rng: random.Random) -> List[List[int]]:
-    """Cantor-Zassenhaus split of a squarefree product of degree-d irreducibles."""
+def _equal_degree_split(f: List[int], d: int, r: int, p: int,
+                        rng: random.Random) -> List[List[int]]:
+    """Cantor-Zassenhaus split of a squarefree product f | Phi_p of degree-d
+    irreducibles over F_r.
+
+    A random a of F_r[zeta] = F_r[X]/(Phi_p) maps to a random residue mod f.
+    The Frobenius a -> a^r is sigma_r there, so a^((r^d-1)/2) is the orbit
+    product of a over <r> (its norm to F_r on each factor) to the (r-1)/2,
+    and for r = 2 the trace a + a^2 + ... + a^(2^(d-1)) is a sum of d
+    conjugates: both need no power of a polynomial mod f.
+    """
     n = len(f) - 1
     inv = pow(f[-1], -1, r)
     f = [c * inv % r for c in f]
     if n == d:
         return [f]
     while True:
-        a = _poly_trim([rng.randrange(r) for _ in range(n)]) or [1]
+        a = SemilocalElement(p, r, tuple(rng.randrange(r) for _ in range(p - 1)))
         if r == 2:
-            # additive trace map a + a^2 + ... + a^{2^{d-1}}
-            t = _poly_mod(a, f, r)
-            sq = list(t)
-            for _ in range(d - 1):
-                sq = _poly_powmod(sq, 2, f, r)
-                t = _poly_add(t, sq, r)
-            g = _poly_gcd(f, t, r)
+            b = sl_combination(p, r, ((galois_coords(p, a.poly, 2 ** k), 1) for k in range(d)))
         else:
-            b = _poly_powmod(a, (r ** d - 1) // 2, f, r)
-            g = _poly_gcd(f, _poly_sub(b, [1], r), r)
+            b = orbit_product(a, r % p, d) ** ((r - 1) // 2) - sl_embed(p, 1, r)
+        g = _poly_gcd(f, [0] + list(b.poly), r)
         if 0 < len(g) - 1 < n:
             q, rem = _poly_divmod(f, g, r)
             assert not rem
-            return _equal_degree_split(g, d, r, rng) + _equal_degree_split(q, d, r, rng)
+            return _equal_degree_split(g, d, r, p, rng) + _equal_degree_split(q, d, r, p, rng)
 
 
 @dataclass(frozen=True)
@@ -317,7 +297,7 @@ def factor_phi(r: int, p: int) -> LocalFactorization:
         raise ValueError("the ramified prime is handled by uniformizer expansions")
     d = multiplicative_order(r, p)
     phi = _poly_red(_cyclotomic_poly(p), r)
-    factors = sorted(_equal_degree_split(phi, d, r, random.Random(f"{r}:{p}")))
+    factors = sorted(_equal_degree_split(phi, d, r, p, random.Random(f"{r}:{p}")))
     prod = [1]
     for g in factors:
         prod = _poly_mul(prod, g, r)
@@ -348,6 +328,8 @@ def root_slots(p: int, y: int, precision: int) -> List[Tuple[SemilocalElement, L
     of Psi, so the p-th roots of unity there are zeta^k E (the completion is
     unramified, as r != p).  Over F_r, e = 1 - Psi(zeta)^{r^d - 1}: Psi is a
     unit in F_r[X]/(Psi') for Psi' != Psi and zero for Psi' = Psi.  The
+    power is taken as N(Psi(zeta))^{r - 1}, N the orbit product over <r>
+    (the Frobenius is sigma_r), with no r^d-th power.  The
     integer idempotent M (M^-1 mod r^{aN}), M = y^N / r^{aN}, of Z/y^N
     moves e onto the r-part, and each step E <- 3E^2 - 2E^3 doubles its
     r-adic precision.  ks lists k = 0..p-1 in the order of X^k mod (r, Psi).
@@ -362,7 +344,8 @@ def root_slots(p: int, y: int, precision: int) -> List[Tuple[SemilocalElement, L
         unit = cofactor * pow(cofactor, -1, r_part)
         for psi in fact.factors:
             psi_zeta = SemilocalElement(p, r, CycloInt.from_polynomial(p, psi).coords)
-            e = sl_embed(p, 1, r) - psi_zeta ** (r ** fact.residue_degree - 1)
+            norm = orbit_product(psi_zeta, r % p, fact.residue_degree)
+            e = sl_embed(p, 1, r) - norm ** (r - 1)
             idem = SemilocalElement(p, modulus, e.poly).scale(unit)
             for _ in range((a * precision).bit_length()):
                 sq = idem * idem

@@ -213,7 +213,7 @@ def test_criterion_08_siegel_solver():
         rows = [[rng.randrange(-10, 11) for _ in range(ambient)] for _ in range(nrows)]
         if linalg.rank_rational(rows) < nrows:
             continue
-        box, _ = lattice.hadamard_bv(rows, ambient)
+        box = lattice.hadamard_bv(rows, ambient)
         bound = max(box.sup_bound_int(), 1)
         w = lattice.siegel_solve(rows, ambient, bound)
         ok &= any(w)
@@ -230,8 +230,7 @@ def test_criterion_09_bound_evaluators():
     ok = True
     ok &= not lattice.displayed_chain_holds(41, 2 * 41 + 1)
     ok &= lattice.displayed_chain_holds(43, 2 * 43 + 1)
-    verdict = lattice.bound_clash(43, 87, 86, level=4)
-    ok &= verdict.upper_dominates == (4 * 86 ** 4 * 43 ** 2 * 42 * 87 < 87 ** 8)
+    ok &= lattice.bound_clash(43, 87, 86, level=4) == (4 * 86 ** 4 * 43 ** 2 * 42 * 87 < 87 ** 8)
     ok &= lattice.theorem2_feasible(23) and lattice.theorem2_feasible(43) \
         and lattice.theorem2_feasible(61) and not lattice.theorem2_feasible(19)
     for p in (13, 37, 101):

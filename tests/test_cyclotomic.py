@@ -18,6 +18,7 @@ from cyclonorm.cyclotomic import (
     lambda_expand,
     lambda_valuation,
     norms_compare,
+    orbit_product,
     residue_mod_uniformizer,
     trace_coordinate_residues,
     trace_pairing,
@@ -66,6 +67,20 @@ def test_norm_multiplicative_and_matches_conjugate_product(p):
         for c in range(1, p):
             prod = prod * a.galois(c)
         assert prod == CycloInt.from_rational(p, a.norm())
+
+
+@pytest.mark.parametrize("p", [7, 13])
+def test_orbit_product_is_the_plain_product(p):
+    # any a and any length n, not only n = ord_p(a)
+    rng = random.Random(p)
+    x = CycloInt(p, tuple(rng.randrange(-5, 6) for _ in range(p - 1)))
+    for a in range(1, p):
+        prod = CycloInt.from_rational(p, 1)
+        for n in range(1, 13):
+            prod = prod * x.galois(a ** (n - 1))
+            assert orbit_product(x, a, n) == prod
+    with pytest.raises(ValueError):
+        orbit_product(x, 2, 0)
 
 
 def test_galois_group_ring_power():

@@ -53,6 +53,55 @@ def test_perfect_power():
     assert linalg.is_perfect_power(-4, 2) is None
 
 
+def bareiss_det(matrix: Sequence[Sequence[int]]) -> int:
+    """Reference: exact determinant of a square integer matrix (fraction-free Bareiss)."""
+    m = [list(row) for row in matrix]
+    n = len(m)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37])
+def test_norm_is_the_multiplication_matrix_determinant(p):
+    """CycloInt.norm, a product of conjugates, against the determinant of
+    x acting on the basis zeta..zeta^{p-1}: on 0, on units and on
+    coordinates of size 10^6."""
+    rng = random.Random(p)
+
+    def det_norm(x):
+        return bareiss_det([zeta_shift(p, x.coords, j) for j in range(1, p)])
+
+    zero = CycloInt.zero(p)
+    assert zero.norm() == det_norm(zero) == 0
+    units = [CycloInt.from_rational(p, s) for s in (1, -1)]
+    units += [CycloInt.zeta_power(p, k) for k in (1, p - 1)]
+    # cyclotomic units (1 - zeta^a)/(1 - zeta) = 1 + zeta + ... + zeta^(a-1)
+    units += [CycloInt.from_exp_map(p, {e: 1 for e in range(a)}) for a in range(2, p)]
+    for u in units:
+        assert u.norm() == det_norm(u) == 1
+    for _ in range(3):
+        x = CycloInt(p, tuple(rng.randrange(-10 ** 6, 10 ** 6 + 1) for _ in range(p - 1)))
+        assert x.norm() == det_norm(x)
+    assert CycloInt.from_rational(p, 10 ** 6).norm() == 10 ** (6 * (p - 1))
+
+
 def _randmix(rows, rng, steps=20):
     out = [list(r) for r in rows]
     n = len(out)
@@ -136,7 +185,7 @@ def test_hnf_canonical_under_unimodular_changes():
     for _ in range(25):
         n = rng.randrange(2, 6)
         mat = [[rng.randrange(-9, 10) for _ in range(n)] for _ in range(n)]
-        det = abs(linalg.bareiss_det(mat))
+        det = abs(bareiss_det(mat))
         if det == 0:
             continue
         h = linalg.hermite_normal_form(mat, n, det)
@@ -149,7 +198,7 @@ def test_hnf_det_multiple_matches_plain():
     for _ in range(20):
         n = 4
         mat = [[rng.randrange(-6, 7) for _ in range(n)] for _ in range(n)]
-        d = linalg.bareiss_det(mat)
+        d = bareiss_det(mat)
         if d == 0:
             continue
         plain = reference_hermite_normal_form(mat, n)
@@ -189,7 +238,7 @@ def test_modular_hnf_matches_reference():
         amp = rng.choice([1, 3, 9])
         rows = [[rng.randrange(-amp, amp + 1) for _ in range(n)]
                 for _ in range(n + rng.randrange(3))]
-        det = abs(linalg.bareiss_det(rows[:n]))
+        det = abs(bareiss_det(rows[:n]))
         if det == 0:
             continue
         _check_modular_hnf(rows, n, rng.randrange(1, 6) * det, rng)
@@ -315,12 +364,12 @@ def _short_vectors_by_brute_force(basis, radius_sq):
     # coefficient i of a vector v is <v, dual_i>, and ||dual_i||^2 is the
     # i-th diagonal entry of the inverse Gram matrix: minor_i / det
     gram = linalg.gram_matrix(basis)
-    det = linalg.bareiss_det(gram)
+    det = bareiss_det(gram)
     reach = []
     for i in range(n):
         minor = [[g for j, g in enumerate(row) if j != i]
                  for k, row in enumerate(gram) if k != i]
-        reach.append(linalg.iroot(int(radius_sq * linalg.bareiss_det(minor) / det), 2))
+        reach.append(linalg.iroot(int(radius_sq * bareiss_det(minor) / det), 2))
     if math.prod(2 * r + 1 for r in reach) > 20_000:
         return None
     expected = set()

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -5,19 +6,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from cyclonorm.cyclotomic import CycloInt, zeta_shift
+from cyclonorm.cyclotomic import CycloInt, orbit_product, zeta_shift
 from cyclonorm.group_ring import is_prime
 from cyclonorm.semilocal import (
     SemilocalElement,
     _cyclotomic_poly,
-    _poly_add,
     _poly_divmod,
     _poly_gcd,
     _poly_mod,
     _poly_mul,
-    _poly_powmod,
     _poly_red,
-    _poly_sub,
     _poly_trim,
     balanced_digit,
     count_primes_above,
@@ -59,6 +57,57 @@ def test_factor_counts_random_pairs():
         assert fact.residue_degree == d
         assert all(f[-1] == 1 for f in fact.factors)
         done += 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from([3, 5, 7, 11, 13, 17, 19, 23]),
+       r=st.sampled_from([2, 3, 5, 7, 11, 13, 29, 43, 101, 211]), data=st.data())
+def test_frobenius_is_sigma_r(p, r, data):
+    # over F_r the Frobenius x -> x^r is sigma_r, so the orbit product over
+    # <r> is the norm x^(1 + r + ... + r^(d-1))
+    assume(r != p)
+    x = SemilocalElement(p, r, tuple(data.draw(st.lists(st.integers(0, r - 1),
+                                                        min_size=p - 1, max_size=p - 1))))
+    d = multiplicative_order(r, p)
+    assert x ** r == x.galois(r)
+    assert orbit_product(x, r % p, d) == x ** ((r ** d - 1) // (r - 1))
+
+
+# SHA-256 of repr((r, p, factors)) over the primes p <= 43 and r < 160,
+# r != p (468 pairs), recorded at the Cantor-Zassenhaus split that raised
+# polynomials to (r^d - 1)/2 mod f
+FACTOR_SWEEP_SHA = "8ab085e7416b5e8f1a9d845204747354ca075e95717952a182f79a874744b94c"
+
+
+def test_factor_phi_sweep_pinned():
+    digest = hashlib.sha256()
+    pairs = 0
+    for p in range(3, 44):
+        if not is_prime(p):
+            continue
+        for r in range(2, 160):
+            if is_prime(r) and r != p:
+                digest.update(repr((r, p, factor_phi(r, p).factors)).encode())
+                pairs += 1
+    assert pairs == 468
+    assert digest.hexdigest() == FACTOR_SWEEP_SHA
+
+
+@pytest.mark.parametrize("p,y,precision,sha,ks", [
+    # r = 2 (two cubic factors) and r = 13 (three quadratic factors)
+    (7, 26, 6, "3826a3d69e59389f640a1782a4ac05c0bb6b1639f0b3601bb0278796d1dde9bb",
+     [[2, 1, 6, 0, 3, 5, 4], [2, 1, 4, 0, 6, 3, 5], [1, 0, 3, 4, 5, 6, 2],
+      [1, 0, 4, 3, 6, 5, 2], [1, 0, 4, 3, 6, 5, 2]]),
+    # two factors of degree 50; the idempotent's power r^d - 1 has 386 bits
+    (101, 211, 8, "9ca8bc601d3ad387e39961099129f828d2283c2fbea7d43b6ef8a82acc71bdf8", None),
+], ids=["7-26-6", "101-211-8"])
+def test_root_slots_pinned(p, y, precision, sha, ks):
+    # SHA-256 of repr([(E.poly, ks)]), recorded at the route that raised
+    # Psi(zeta) to r^d - 1
+    slots = root_slots(p, y, precision)
+    assert hashlib.sha256(repr([(e.poly, k) for e, k in slots]).encode()).hexdigest() == sha
+    if ks is not None:
+        assert [k for _, k in slots] == ks
 
 
 @pytest.mark.parametrize("p,m", [(5, 11 ** 3), (7, 2 ** 8), (5, 12 ** 3)])
@@ -186,6 +235,30 @@ def test_crt_consistency_composite_base():
 
 # -- the earlier route: Phi_p's factors Hensel-lifted to r^N, joined by a
 # polynomial CRT at each r | y and an integer CRT across them
+
+
+def _poly_add(a, b, m):
+    out = [0] * max(len(a), len(b))
+    for i, x in enumerate(a):
+        out[i] = x % m
+    for i, y in enumerate(b):
+        out[i] = (out[i] + y) % m
+    return _poly_trim(out)
+
+
+def _poly_sub(a, b, m):
+    return _poly_add(a, [(-y) % m for y in b], m)
+
+
+def _poly_powmod(a, e, f, m):
+    result = [1]
+    base = _poly_mod(a, f, m)
+    while e:
+        if e & 1:
+            result = _poly_mod(_poly_mul(result, base, m), f, m)
+        base = _poly_mod(_poly_mul(base, base, m), f, m)
+        e >>= 1
+    return result
 
 
 def reference_ext_gcd(a, b, r):
