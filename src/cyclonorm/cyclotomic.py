@@ -3,8 +3,8 @@
 Elements are integer coordinate vectors in the normal power basis {zeta,
 zeta^2, ..., zeta^{p-1}}, a Z-basis of Z[zeta]; the constant 1 is
 represented through sum_c zeta^c = -1.  All ring arithmetic is exact;
-archimedean magnitudes are the only place floating point appears and they
-carry a two-precision certificate.
+archimedean magnitudes are the only place floating point appears: one
+evaluation in complex doubles with an a-priori error bound.
 
 A CycloInt coordinate is always a plain int: the ring is Z[zeta], not
 Q(zeta), so there is no inverse, and division by lambda = 1 - zeta is exact
@@ -15,13 +15,12 @@ CycloInt and the semilocal rings Z_y[zeta], which share the basis.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import operator
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
-
-import mpmath
 
 from .group_ring import GroupRingElement, is_prime, prime_power_split, primitive_root
 from . import linalg
@@ -164,10 +163,6 @@ class CycloInt:
         return cls.from_exp_map(p, {i: c for i, c in enumerate(poly)})
 
     # -- structure -----------------------------------------------------------
-
-    def coord(self, c: int) -> int:
-        """Coefficient of zeta^c, c in 1..p-1."""
-        return self.coords[c - 1]
 
     def is_zero(self) -> bool:
         return not any(self.coords)
@@ -371,7 +366,6 @@ def lambda_valuation(x: CycloInt, cap: int = 10_000) -> int:
 class LambdaExpansion:
     p: int
     digits: Tuple[int, ...]
-    balanced: bool
     terminated: bool  # remainder hit zero within the requested digits
 
     def partial_sum(self) -> CycloInt:
@@ -386,11 +380,11 @@ class LambdaExpansion:
         return acc
 
 
-def lambda_expand(w: CycloInt, digits: int, balanced: bool = True) -> LambdaExpansion:
-    """First `digits` lambda-adic digits of an integral element.
+def lambda_expand(w: CycloInt, digits: int) -> LambdaExpansion:
+    """First `digits` balanced lambda-adic digits of an integral element.
 
-    Digits lie in {0..p-1} (plain) or in {-(p-1)/2..(p-1)/2} (balanced); the
-    partial sum reproduces w modulo lambda^digits.
+    Digits lie in {-(p-1)/2..(p-1)/2}; the partial sum reproduces w modulo
+    lambda^digits.
     """
     if digits < 1:
         raise ValueError("need at least one digit")
@@ -399,12 +393,12 @@ def lambda_expand(w: CycloInt, digits: int, balanced: bool = True) -> LambdaExpa
     cur = w
     for _ in range(digits):
         d = residue_mod_uniformizer(cur)
-        if balanced and d > (p - 1) // 2:
+        if d > (p - 1) // 2:
             d -= p
         out.append(d)
         cur = cur - CycloInt.from_rational(p, d)
         cur = divide_by_uniformizer(cur)
-    return LambdaExpansion(p, tuple(out), balanced, cur.is_zero())
+    return LambdaExpansion(p, tuple(out), cur.is_zero())
 
 
 def congruent_mod_uniformizer_power(a: CycloInt, b: CycloInt, k: int) -> bool:
@@ -423,44 +417,48 @@ def congruent_mod_rational(a: CycloInt, b: CycloInt, m: int) -> bool:
 
 
 @functools.lru_cache(maxsize=None)
-def _roots_of_unity(p: int, dps: int) -> Tuple[mpmath.mpc, ...]:
-    """e^{2 pi i j/p} for j = 0..p-1 at `dps` decimal digits."""
-    with mpmath.workdps(dps):
-        return tuple(mpmath.expjpi(mpmath.mpf(2 * j) / p) for j in range(p))
+def _roots_of_unity(p: int) -> Tuple[complex, ...]:
+    """e^{2 pi i j/p} for j = 0..p-1 in complex doubles."""
+    return tuple(cmath.exp(2j * math.pi * j / p) for j in range(p))
 
 
-def embedding_abs(x: CycloInt, c: int = 1) -> Tuple[mpmath.mpf, mpmath.mpf]:
-    """|sigma_c(x)| at zeta = e^{2 pi i/p}, with a certified error bound.
+def embedding_abs(x: CycloInt, c: int = 1) -> Tuple[float, float]:
+    """|sigma_c(x)| at zeta = e^{2 pi i/p} in double precision, with an a-priori
+    error bound: (value, err) with |value - |sigma_c(x)|| <= err.
 
-    Evaluates at two precisions and requires agreement; the returned pair is
-    (value, error_bound) with relative error below 2^-40.
+    err = (p + 8) 2^-50 sum_e |x_e|.  Why it holds, with u = 2^-53 (Higham,
+    Accuracy and Stability of Numerical Algorithms, ch. 3-4): the angle
+    2 pi j/p < 8 is within 3 ulp (math.pi, the product by j, the division
+    by p), so within 3 * 2^-50, and cos and sin are each within 1 ulp, so a
+    root is within (3 + 1/4) 2^-50.  Converting x_e to a float and taking the
+    product add 2u relative, so each term x_e zeta^{ce} is within
+    4 * 2^-50 |x_e|.  Each of the p - 2 complex additions adds at most
+    sqrt(2) u times the running sum of |terms|, so the sum adds
+    (p - 1) 2^-52 sum |x_e|, and abs (1 ulp) adds 2u |acc|.  That is below
+    (4 + (p + 1)/4) 2^-50 sum |x_e|, and the bound keeps a margin that
+    absorbs the roundings in computing err itself.
+
+    Domain: every |x_e| < 2^1000, so no value overflows (p is far below
+    2^20).  The identities tables stay far inside it: at p = 101 their
+    largest coordinate has 32 bits.
     """
     p = x.p
-    size = max(abs(v) for v in x.coords) + 1
-    base_dps = 40 + len(str(size))
-    vals = []
-    for dps in (base_dps, 2 * base_dps):
-        roots = _roots_of_unity(p, dps)
-        with mpmath.workdps(dps):
-            acc = mpmath.mpc(0)
-            for e, coef in enumerate(x.coords, 1):
-                if coef:
-                    acc += mpmath.mpf(coef) * roots[c * e % p]
-            vals.append(abs(acc))
-    v1, v2 = vals
-    err = abs(v1 - v2) + mpmath.mpf(2) ** (-120) * (abs(v2) + 1)
-    if err > mpmath.mpf(2) ** (-40) * max(abs(v2), mpmath.mpf(1)):
-        raise ArithmeticError("archimedean evaluation failed its precision certificate")
-    return v2, err
+    roots = _roots_of_unity(p)
+    acc = 0j
+    for e, coef in enumerate(x.coords, 1):
+        if coef:
+            acc += coef * roots[c * e % p]
+    return abs(acc), (p + 8) * 2.0 ** -50 * sum(map(abs, x.coords))
 
 
-def max_conjugate_abs(x: CycloInt) -> Tuple[mpmath.mpf, mpmath.mpf]:
-    """max_c |sigma_c(x)| with its certified error bound.
+def max_conjugate_abs(x: CycloInt) -> Tuple[float, float]:
+    """max_c |sigma_c(x)| with the error bound of `embedding_abs`.
 
     x has integer coordinates, so sigma_{p-c}(x) is the complex conjugate of
-    sigma_c(x) and c = 1..(p-1)/2 covers every absolute value.
+    sigma_c(x) and c = 1..(p-1)/2 covers every absolute value.  The bound is
+    the same for every c, so value + err bounds every conjugate.
     """
-    best = (mpmath.mpf(0), mpmath.mpf(0))
+    best = (0.0, 0.0)
     for c in range(1, (x.p + 1) // 2):
         v, e = embedding_abs(x, c)
         if v > best[0]:

@@ -647,7 +647,7 @@ def _pipeline_true_solution(cfg: RunConfig, report: Report) -> Report:
                cong_ok, {"p": p, "x": x, "y": y, "e": e}, {"checked": checked},
                arithmetic="mod lambda^2" if e == 0 else f"mod lambda^{max(p - 2, 1)}")
 
-    lam_digits = lambda_expand(alpha, 6, balanced=True)
+    lam_digits = lambda_expand(alpha, 6)
     report.add("uniformizer-digits", "balanced-digit-expansion-of-alpha",
                congruent_mod_uniformizer_power(lam_digits.partial_sum(), alpha, 6),
                {"p": p}, {"digits": list(lam_digits.digits),

@@ -10,7 +10,6 @@ inhomogeneous twist selection, and the final inequality evaluators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -32,15 +31,6 @@ class RankStuck(Exception):
 
 
 # -- the index order --------------------------------------------------------------------
-
-
-def order_rank(pair: Tuple[int, int]) -> int:
-    """Position (1-based) of (j, k) in the order by (j+k, k)."""
-    j, k = pair
-    if j < 0 or k < 0:
-        raise ValueError("pairs have nonnegative entries")
-    s = j + k
-    return s * (s + 1) // 2 + k + 1
 
 
 def order_unrank(n: int) -> Tuple[int, int]:
@@ -251,7 +241,7 @@ def siegel_solve(rows: Sequence[Sequence[int]], ambient: int,
     radius = min(best[0], bound)
     radius_sq = ambient * radius * radius
     for count, vec in enumerate(linalg.enumerate_short_vectors(
-            reduced, Fraction(radius_sq), sup_bound=radius)):
+            reduced, radius_sq, sup_bound=radius)):
         if count == ENUMERATION_LIMIT:
             raise EnumerationLimit(
                 f"enumeration stopped after {count} vectors (sup-norm <= {radius}, "
@@ -482,13 +472,6 @@ def lemma9_size_bound(p: int, q: int) -> bool:
 # -- matrix files ---------------------------------------------------------------------------
 
 
-def write_matrix(path: str, rows: Sequence[Sequence[int]]) -> None:
-    with open(path, "w", encoding="ascii") as f:
-        f.write(f"{len(rows)} {len(rows[0]) if rows else 0}\n")
-        for row in rows:
-            f.write(" ".join(str(x) for x in row) + "\n")
-
-
 def read_matrix(path: str) -> List[List[int]]:
     with open(path, encoding="ascii") as f:
         header = f.readline().split()
@@ -513,8 +496,3 @@ def read_matrix(path: str) -> List[List[int]]:
 def write_witness(path: str, vec: Sequence[int]) -> None:
     with open(path, "w", encoding="ascii") as f:
         f.write(" ".join(str(x) for x in vec) + "\n")
-
-
-def read_witness(path: str) -> List[int]:
-    with open(path, encoding="ascii") as f:
-        return [int(x) for x in f.readline().split()]

@@ -1,14 +1,15 @@
-"""Exact integer and rational linear algebra used throughout the package.
+"""Exact integer linear algebra used throughout the package.
 
-Everything here works on plain Python ints / Fractions, so all results are
-exact.  Matrices are lists of row lists.
+Everything here works on plain Python ints, so all results are exact; a
+rational quantity (a Gram-Schmidt coefficient, a squared norm over a Gram
+determinant) is kept as an integer numerator over a known integer
+denominator.  Matrices are lists of row lists.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 
 def iroot(n: int, k: int) -> int:
@@ -46,21 +47,12 @@ def gram_matrix(rows: Sequence[Sequence[int]]) -> List[List[int]]:
     return [[sum(x * y for x, y in zip(r, s)) for s in rows] for r in rows]
 
 
-def rank_rational(rows: Iterable[Sequence]) -> int:
-    """Rank over Q of a list of integer/Fraction rows."""
-    space = RowSpace()
-    for row in rows:
-        space.add(row)
-    return space.rank
-
-
 class RowSpace:
-    """Incremental row space over Q with exact membership tests.
+    """Incremental row space over Q of integer rows, with exact membership tests.
 
-    The echelon is kept in integers: each row is a primitive integer vector
-    (a row of Fractions is cleared of its denominators first), and a vector
-    v is reduced by v <- e_piv v - v_piv e, then divided by the gcd of its
-    entries, so no Fraction arithmetic is done.
+    The echelon is kept in integers: each row is a primitive integer vector,
+    and a vector v is reduced by v <- e_piv v - v_piv e, then divided by the
+    gcd of its entries.
     """
 
     def __init__(self) -> None:
@@ -71,10 +63,8 @@ class RowSpace:
     def rank(self) -> int:
         return len(self._echelon)
 
-    def _reduce(self, row: Sequence) -> List[int]:
-        v = [x if type(x) is int else Fraction(x) for x in row]
-        den = math.lcm(*(x.denominator for x in v))
-        v = [x.numerator * (den // x.denominator) for x in v]
+    def _reduce(self, row: Sequence[int]) -> List[int]:
+        v = list(row)
         for piv, erow in zip(self._pivots, self._echelon):
             c = v[piv]
             if c:
@@ -85,10 +75,10 @@ class RowSpace:
                     v = [a // g for a in v]
         return v
 
-    def contains(self, row: Sequence) -> bool:
+    def contains(self, row: Sequence[int]) -> bool:
         return not any(self._reduce(row))
 
-    def add(self, row: Sequence) -> bool:
+    def add(self, row: Sequence[int]) -> bool:
         """Add a row; return True if it enlarged the space."""
         v = self._reduce(row)
         for idx, x in enumerate(v):
@@ -230,32 +220,36 @@ def integral_gso(gram: Sequence[Sequence[int]]) -> Tuple[List[int], List[List[in
     return d, lam
 
 
-def lll_reduce(rows: Sequence[Sequence[int]], delta: Fraction = Fraction(3, 4)) -> List[List[int]]:
-    """LLL reduction of linearly independent integer rows (ValueError otherwise).
+def lll_reduce(rows: Sequence[Sequence[int]]) -> List[List[int]]:
+    """LLL reduction with delta = 3/4 of linearly independent integer rows
+    (ValueError otherwise).
 
     Each row is size-reduced against all earlier rows before its Lovasz
     test.  The Gram-Schmidt data are the integers of integral_gso, updated
-    in place after every size reduction and swap (Cohen, Alg. 2.6.7).
+    in place after every size reduction and swap (Cohen, Alg. 2.6.7), so
+    the whole reduction runs in integers.
     """
     basis = [[int(x) for x in row] for row in rows]
     n = len(basis)
     if n <= 1:
         return basis
     d, lam = integral_gso(gram_matrix(basis))
-    delta = Fraction(delta)
     k = 1
     while k < n:
         lk = lam[k]
         for j in range(k - 1, -1, -1):
-            r = round(Fraction(lk[j], d[j + 1]))
+            # r = mu = lk[j] / d[j + 1] rounded, ties to even
+            r, rem = divmod(2 * lk[j] + d[j + 1], 2 * d[j + 1])
+            if rem == 0 and r & 1:
+                r -= 1
             if r:
                 basis[k] = [a - r * b for a, b in zip(basis[k], basis[j])]
                 lk[j] -= r * d[j + 1]
                 for i in range(j):
                     lk[i] -= r * lam[j][i]
         nu = lk[k - 1]
-        # ||b*_k||^2 >= (delta - mu^2) ||b*_(k-1)||^2, times d[k] d[k-1]
-        if delta.denominator * (d[k + 1] * d[k - 1] + nu * nu) >= delta.numerator * d[k] ** 2:
+        # ||b*_k||^2 >= (3/4 - mu^2) ||b*_(k-1)||^2, times 4 d[k] d[k-1]
+        if 4 * (d[k + 1] * d[k - 1] + nu * nu) >= 3 * d[k] ** 2:
             k += 1
             continue
         basis[k - 1], basis[k] = basis[k], basis[k - 1]
@@ -270,47 +264,50 @@ def lll_reduce(rows: Sequence[Sequence[int]], delta: Fraction = Fraction(3, 4)) 
     return basis
 
 
-def enumerate_short_vectors(basis: Sequence[Sequence[int]], radius_sq: Fraction, *,
+def enumerate_short_vectors(basis: Sequence[Sequence[int]], radius_sq: int, *,
                             sup_bound: Optional[int] = None):
     """Yield the nonzero lattice vectors with squared Euclidean norm <= radius_sq.
 
     Fincke-Pohst enumeration on a linearly independent (ideally LLL-reduced)
-    basis, exact in integers over one common denominator.  One vector per
-    +/- pair: the nonzero coefficient of highest index is positive.
+    integer basis, exact in integers over one common denominator.  One
+    vector per +/- pair: the nonzero coefficient of highest index is
+    positive.  Squared norms in an integer lattice are integers, so an
+    integer radius_sq loses nothing.
 
-    With sup_bound r, branches that hold no vector of sup-norm <= r are cut:
-    every vector of the ball with sup-norm <= r is still yielded, and some
-    with a larger sup-norm may be.  The cut: if sup(v) <= r then
-    |<v, w>| <= r ||w||_1, for w = b*_l and for w = pi_l(v), the part of v
-    orthogonal to b_0..b_(l-1), which is fixed once the coefficients from l
-    up are.
+    Branches that hold no vector of sup-norm <= sup_bound are cut: every
+    vector of the ball with sup-norm <= sup_bound is still yielded, and some
+    with a larger sup-norm may be.  The default sup_bound, isqrt(radius_sq),
+    bounds the sup-norm of every vector of the ball, so it yields exactly the
+    ball.  The cut: if sup(v) <= r then |<v, w>| <= r ||w||_1, for w = b*_l
+    and for w = pi_l(v), the part of v orthogonal to b_0..b_(l-1), which is
+    fixed once the coefficients from l up are.
     """
     n = len(basis)
     if n == 0:
         return
     d, lam = integral_gso(gram_matrix(basis))
+    if radius_sq < 0:
+        return
+    if sup_bound is None:
+        sup_bound = math.isqrt(radius_sq)
     # ||sum x_i b_i||^2 = sum_l t_l^2 / (d[l] d[l+1]) with the integers
     # t_l = d[l+1] x_l + sum_{i>l} lam[i][l] x_i; scale it by `common`
-    radius_sq = Fraction(radius_sq)
     common = math.lcm(*(d[l] * d[l + 1] for l in range(n)))
-    weight = [radius_sq.denominator * common // (d[l] * d[l + 1]) for l in range(n)]
-    budget = radius_sq.numerator * common
-    if budget < 0:
-        return
-    if sup_bound is not None:
-        # ortho[l] = d[l] b*_l, integral; <v, b*_l> = t_l / d[l]
-        ortho = []
-        for l in range(n):
-            u = list(basis[l])
-            for j in range(l):
-                u = [(d[j + 1] * a - lam[l][j] * b) // d[j] for a, b in zip(u, ortho[j])]
-            ortho.append(u)
-        t_cap = [sup_bound * sum(map(abs, u)) for u in ortho]
+    weight = [common // (d[l] * d[l + 1]) for l in range(n)]
+    budget = radius_sq * common
+    # ortho[l] = d[l] b*_l, integral; <v, b*_l> = t_l / d[l]
+    ortho = []
+    for l in range(n):
+        u = list(basis[l])
+        for j in range(l):
+            u = [(d[j + 1] * a - lam[l][j] * b) // d[j] for a, b in zip(u, ortho[j])]
+        ortho.append(u)
+    t_cap = [sup_bound * sum(map(abs, u)) for u in ortho]
     coeffs = [0] * n
 
-    def recurse(level: int, used: int, nonzero: bool, proj: Optional[List[int]]):
+    def recurse(level: int, used: int, nonzero: bool, proj: List[int]):
         # nonzero: some coefficient above this level is nonzero; proj:
-        # common * pi_(level+1)(v), kept only under a sup bound
+        # common * pi_(level+1)(v)
         if level < 0:
             if nonzero:
                 vec = [0] * len(basis[0])
@@ -320,26 +317,22 @@ def enumerate_short_vectors(basis: Sequence[Sequence[int]], radius_sq: Fraction,
                 yield vec
             return
         shift = sum(lam[i][level] * coeffs[i] for i in range(level + 1, n))
-        t_max = math.isqrt((budget - used) // weight[level])
-        if sup_bound is not None:
-            t_max = min(t_max, t_cap[level])
+        t_max = min(math.isqrt((budget - used) // weight[level]), t_cap[level])
         step = d[level + 1]
         lo = -((t_max + shift) // step) if nonzero else 0
         for x in range(lo, (t_max - shift) // step + 1):
             coeffs[level] = x
             t = step * x + shift
             now = used + weight[level] * t * t
-            nxt = proj
-            if proj is not None:
-                f = common // (d[level] * d[level + 1]) * t
-                nxt = [a + f * b for a, b in zip(proj, ortho[level])]
-                # ||pi(v)||^2 <= r ||pi(v)||_1, scaled: now = den * common * ||pi(v)||^2
-                if now > sup_bound * radius_sq.denominator * sum(map(abs, nxt)):
-                    continue
+            f = weight[level] * t
+            nxt = [a + f * b for a, b in zip(proj, ortho[level])]
+            # ||pi(v)||^2 <= r ||pi(v)||_1, scaled: now = common * ||pi(v)||^2
+            if now > sup_bound * sum(map(abs, nxt)):
+                continue
             yield from recurse(level - 1, now, nonzero or x != 0, nxt)
         coeffs[level] = 0
 
     try:
-        yield from recurse(n - 1, 0, False, None if sup_bound is None else [0] * len(basis[0]))
+        yield from recurse(n - 1, 0, False, [0] * len(basis[0]))
     finally:
         recurse = None      # the closure refers to itself: break that cycle

@@ -38,8 +38,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-import mpmath
-
 from .cyclotomic import (
     CycloInt,
     congruent_mod_rational,
@@ -328,21 +326,20 @@ class BoundCheck:
 
 
 def coeff_bound_check(table: SeriesTable, m: int) -> BoundCheck:
-    """Dominance bound on |a_m| across all conjugates, with certified floats.
+    """Dominance bound on |a_m| across all conjugates, from double-precision
+    magnitudes with their error bound, compared exactly.
 
-    The margin policy: the certified upper estimate of the magnitude must not
-    exceed bound * (1 + 2^-20).
+    The margin policy: the upper estimate val + err of the magnitude must not
+    exceed bound * (1 + 2^-20); the factor 1 + 2^-50 covers the one rounding
+    of val + err.
     """
     w = weights(table.theta).absolute
     bound = binomial_abs_bound(w, table.q, m, doubled=table.full)
     val, err = max_conjugate_abs(table.numerators[m])
     q_e = table.q ** denominator_exponent(m, table.q)
-    with mpmath.workdps(60):
-        upper = (val + err) / q_e
-        bound_m = mpmath.mpf(bound.numerator) / bound.denominator
-        holds = bool(upper <= bound_m * (1 + mpmath.mpf(2) ** -20))
-        plain = float(val / q_e)
-    return BoundCheck(m, plain, bound, holds)
+    holds = (Fraction(val + err) * (1 + Fraction(1, 2 ** 50))
+             <= bound * (1 + Fraction(1, 2 ** 20)) * q_e)
+    return BoundCheck(m, val / q_e, bound, holds)
 
 
 # -- semilocal evaluation ---------------------------------------------------------------

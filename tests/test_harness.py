@@ -258,8 +258,8 @@ def test_uniformizer_digits_record_fails_on_a_wrong_digit(monkeypatch):
     # lambda^5, so it is no longer alpha mod lambda^6
     real = harness.lambda_expand
 
-    def shifted(w, digits, balanced=True):
-        lam = real(w, digits, balanced)
+    def shifted(w, digits):
+        lam = real(w, digits)
         return dataclasses.replace(lam, digits=lam.digits[:-1] + (lam.digits[-1] + 1,))
 
     assert _record(cmd_pipeline(RunConfig("pipeline", p=3, x=19, y=18)),

@@ -10,7 +10,11 @@ conjugates.
 """
 
 import contextlib
+import os
+import pathlib
 import signal
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -18,6 +22,7 @@ import numpy
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cyclonorm
 from cyclonorm.cyclotomic import (
     CycloInt,
     basis_product,
@@ -25,6 +30,7 @@ from cyclonorm.cyclotomic import (
     galois_coords,
     max_conjugate_abs,
     power,
+    uniformizer,
     zeta_shift,
 )
 from cyclonorm.group_ring import GroupRingElement
@@ -75,10 +81,9 @@ def reference_embedding_abs(x, c, dps):
     with mpmath.workdps(dps):
         z = mpmath.e ** (2j * mpmath.pi * c / x.p)
         acc = mpmath.mpc(0)
-        for e in range(1, x.p):
-            coef = Fraction(x.coord(e))
+        for e, coef in enumerate(x.coords, 1):
             if coef:
-                acc += mpmath.mpf(coef.numerator) / coef.denominator * z ** e
+                acc += coef * z ** e
         return abs(acc)
 
 
@@ -225,8 +230,48 @@ def test_embedding_abs_matches_power_evaluation(p, data):
     assert abs(value - reference) <= err
 
 
+@st.composite
+def magnitude_cases(draw):
+    """An element at p <= 37 with coordinates up to 2^900, or one whose
+    conjugates are far smaller than its coordinates, so its evaluation
+    cancels: (1 - zeta)^k, or a power of the cyclotomic unit
+    1 + zeta + ... + zeta^(a-1)."""
+    p = draw(st.sampled_from([3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]), label="p")
+    kind = draw(st.sampled_from(["wide", "uniformizer", "unit"]), label="kind")
+    if kind == "wide":
+        entry = st.integers(-2 ** 900, 2 ** 900)
+        return CycloInt(p, tuple(draw(st.lists(entry, min_size=p - 1, max_size=p - 1))))
+    if kind == "uniformizer":
+        return uniformizer(p) ** draw(st.integers(0, 850), label="k")
+    a = draw(st.integers(2, p - 1), label="a")
+    unit = CycloInt.from_polynomial(p, [1] * a)
+    return unit ** draw(st.integers(0, 900 // a.bit_length()), label="k")
+
+
+@settings(max_examples=60, deadline=None)
+@given(magnitude_cases())
+def test_embedding_abs_within_its_error_bound(x):
+    # the double-precision value against a 60-digit evaluation, at every c;
+    # the reference errs by about 10^-60 sum |x_e|, far inside err
+    total = sum(map(abs, x.coords))
+    for c in range(1, x.p):
+        value, err = embedding_abs(x, c)
+        assert err == (x.p + 8) * 2.0 ** -50 * total
+        with mpmath.workdps(60):
+            assert abs(value - reference_embedding_abs(x, c, 60)) <= err
+
+
+def test_the_package_does_not_import_mpmath():
+    code = "import sys, cyclonorm.cli; print('mpmath' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(pathlib.Path(cyclonorm.__file__).parent.parent), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"
+
+
 def reference_max_conjugate_abs(x):
-    best = (mpmath.mpf(0), mpmath.mpf(0))
+    best = (0.0, 0.0)
     for c in range(1, x.p):
         v, e = embedding_abs(x, c)
         if v > best[0]:

@@ -6,7 +6,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cyclonorm import linalg
 from cyclonorm.cyclotomic import CycloInt, zeta_shift
@@ -288,29 +288,34 @@ class ReferenceRowSpace:
         return False
 
 
+def rank_rational(rows):
+    """Rank over Q of integer rows."""
+    space = linalg.RowSpace()
+    return sum(space.add(row) for row in rows)
+
+
 @st.composite
 def row_space_calls(draw):
     """A sequence of (add or contains, row) calls in one dimension; the rows
-    mix ints, Fractions, zero rows and combinations of earlier rows."""
+    are integer rows, zero rows and rational combinations of earlier rows
+    cleared of their denominators."""
     n = draw(st.integers(1, 6))
     entry = st.one_of(st.integers(-5, 5), st.integers(-10 ** 30, 10 ** 30))
     fraction = st.fractions(min_value=-50, max_value=50, max_denominator=60)
     calls, seen = [], []
     for _ in range(draw(st.integers(1, 14))):
-        kind = draw(st.sampled_from(["int", "fraction", "zero", "dependent"]))
+        kind = draw(st.sampled_from(["int", "zero", "dependent"]))
         if kind == "int":
             row = draw(st.lists(entry, min_size=n, max_size=n))
-        elif kind == "fraction":
-            row = draw(st.lists(fraction, min_size=n, max_size=n))
         elif kind == "zero":
-            row = [draw(st.sampled_from([0, Fraction(0)]))] * n
+            row = [0] * n
         else:
             row = [Fraction(0)] * n
             for base in seen:
                 c = draw(fraction)
                 row = [a + c * b for a, b in zip(row, base)]
-            if draw(st.booleans()) and all(x.denominator == 1 for x in row):
-                row = [int(x) for x in row]
+            den = math.lcm(*(x.denominator for x in row))
+            row = [int(x * den) for x in row]
         seen.append(row)
         calls.append((draw(st.sampled_from(["add", "contains"])), row))
     return calls
@@ -326,7 +331,7 @@ def test_row_space_matches_the_fraction_echelon(calls):
         assert space.rank == reference.rank
         if method == "add":
             rows.append(row)
-            assert linalg.rank_rational(rows) == reference.rank
+            assert rank_rational(rows) == reference.rank
 
 
 def test_integer_kernel_saturated():
@@ -337,7 +342,7 @@ def test_integer_kernel_saturated():
         kern = linalg.integer_kernel(a, ncols)
         for v in kern:
             assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in a)
-        assert len(kern) == ncols - linalg.rank_rational(a)
+        assert len(kern) == ncols - rank_rational(a)
         # saturation: gcd of each vector's entries reduced basis still integral
         space = linalg.RowSpace()
         for v in kern:
@@ -347,7 +352,7 @@ def test_integer_kernel_saturated():
 def test_lll_preserves_lattice_and_shortens():
     rng = random.Random(9)
     basis = [[rng.randrange(-40, 41) for _ in range(5)] for _ in range(4)]
-    if linalg.rank_rational(basis) < 4:
+    if rank_rational(basis) < 4:
         return
     red = linalg.lll_reduce(basis)
     h1 = reference_hermite_normal_form(basis, 5)
@@ -369,7 +374,7 @@ def _short_vectors_by_brute_force(basis, radius_sq):
     for i in range(n):
         minor = [[g for j, g in enumerate(row) if j != i]
                  for k, row in enumerate(gram) if k != i]
-        reach.append(linalg.iroot(int(radius_sq * bareiss_det(minor) / det), 2))
+        reach.append(linalg.iroot(radius_sq * bareiss_det(minor) // det, 2))
     if math.prod(2 * r + 1 for r in reach) > 20_000:
         return None
     expected = set()
@@ -384,13 +389,14 @@ def test_enumerate_short_vectors_complete():
     # one vector of each +/- pair of the brute-force set: found | -found is
     # the set and found & -found is empty
     rng = random.Random(13)
-    basis, radius_sq = [[2, 0], [1, 3]], Fraction(20)
+    basis, radius_sq = [[2, 0], [1, 3]], 20
     checked = 0
     while checked < 41:
-        if linalg.rank_rational(basis) == len(basis):
+        if rank_rational(basis) == len(basis):
             expected = _short_vectors_by_brute_force(basis, radius_sq)
             if expected is not None:
-                found = [tuple(v) for v in linalg.enumerate_short_vectors(basis, radius_sq)]
+                found = [tuple(v) for v in linalg.enumerate_short_vectors(
+                    basis, radius_sq, sup_bound=math.isqrt(radius_sq))]
                 negated = {tuple(-x for x in v) for v in found}
                 assert len(set(found)) == len(found)
                 assert set(found) | negated == expected
@@ -404,7 +410,8 @@ def test_enumerate_short_vectors_complete():
                 checked += 1
         n = rng.randrange(1, 4)
         basis = [[rng.randrange(-3, 4) for _ in range(n + 1)] for _ in range(n)]
-        radius_sq = Fraction(rng.randrange(0, 100), rng.randrange(1, 4))
+        # squared norms are integers: the floor of a rational radius loses nothing
+        radius_sq = rng.randrange(0, 100) // rng.randrange(1, 4)
 
 
 def test_enumeration_leaves_no_recurse_cycle():
@@ -415,8 +422,8 @@ def test_enumeration_leaves_no_recurse_cycle():
     gc.collect()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
-        assert list(linalg.enumerate_short_vectors(basis, Fraction(6)))
-        dropped = linalg.enumerate_short_vectors(basis, Fraction(6), sup_bound=2)
+        assert list(linalg.enumerate_short_vectors(basis, 6, sup_bound=math.isqrt(6)))
+        dropped = linalg.enumerate_short_vectors(basis, 6, sup_bound=2)
         assert next(dropped)
         del dropped
         gc.collect()
@@ -478,8 +485,54 @@ def test_lll_matches_reference():
         ambient = n + rng.randrange(3)
         amp = rng.choice([2, 10, 100])
         rows = [[rng.randrange(-amp, amp + 1) for _ in range(ambient)] for _ in range(n)]
-        if linalg.rank_rational(rows) < n:
+        if rank_rational(rows) < n:
             continue
-        delta = rng.choice([Fraction(3, 4), Fraction(99, 100)])
-        assert linalg.lll_reduce(rows, delta) == reference_lll(rows, delta)
+        assert linalg.lll_reduce(rows) == reference_lll(rows)
         checked += 1
+
+
+# Outputs of lll_reduce recorded when it still rounded a Fraction: bases whose
+# size reduction meets an exact half, +-1/2, +-3/2, 5/2 or 7/2, so rounding
+# half to even (0, +-2, 2, 4) decides the result.
+LLL_TIE_PINS = [
+    ([[2, 0], [1, 3]], [[2, 0], [1, 3]]),
+    ([[2, 0], [-1, 1]], [[-1, 1], [1, 1]]),
+    ([[2, 0], [3, 1]], [[-1, 1], [1, 1]]),
+    ([[2, 0], [-3, 2]], [[2, 0], [1, 2]]),
+    ([[2, 0], [5, 1]], [[1, 1], [1, -1]]),
+    ([[2, 0], [-5, 1]], [[-1, 1], [1, 1]]),
+    ([[2, 0], [7, 1]], [[-1, 1], [1, 1]]),
+    ([[4, 0], [2, 1]], [[2, 1], [0, -2]]),
+    ([[4, 0], [6, 1]], [[-2, 1], [0, 2]]),
+    ([[2, 0, 0], [1, 2, 0], [1, 1, 2]], [[2, 0, 0], [1, 2, 0], [1, 1, 2]]),
+    ([[2, 0, 0], [-1, 2, 0], [1, -1, 2]], [[2, 0, 0], [-1, 2, 0], [1, -1, 2]]),
+    ([[2, 2, 0], [1, 1, 2], [0, 2, 1]], [[2, 2, 0], [1, 1, 2], [0, 2, 1]]),
+    ([[1, 1, 0], [1, 0, 1], [0, 1, 1]], [[1, 1, 0], [1, 0, 1], [0, 1, 1]]),
+    ([[2, 0, 0], [3, 2, 0], [5, -3, 2]], [[2, 0, 0], [-1, 2, 0], [-1, 1, 2]]),
+    ([[0, 2, 0], [1, 1, 1], [1, -1, 3]], [[0, 2, 0], [1, 1, 1], [-1, 1, 1]]),
+]
+
+
+@pytest.mark.parametrize("rows, reduced", LLL_TIE_PINS)
+def test_lll_rounds_ties_to_even(rows, reduced):
+    assert linalg.lll_reduce(rows) == reduced
+    assert reference_lll(rows) == reduced
+
+
+@st.composite
+def small_bases(draw):
+    """Independent rows with entries in -2..2, where size reduction often
+    meets an exact half."""
+    n = draw(st.integers(1, 4))
+    ambient = draw(st.integers(n, n + 1))
+    entry = st.integers(-2, 2)
+    rows = draw(st.lists(st.lists(entry, min_size=ambient, max_size=ambient),
+                         min_size=n, max_size=n))
+    assume(rank_rational(rows) == n)
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_bases())
+def test_lll_matches_reference_on_small_entries(rows):
+    assert linalg.lll_reduce(rows) == reference_lll(rows)

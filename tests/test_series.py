@@ -456,6 +456,11 @@ def test_dominance_bounds(p):
     plain = binom_coeffs(theta, 8, full=False)
     for m in range(9):
         assert coeff_bound_check(plain, m).holds
+    # a_0 = 1 meets its bound 1 exactly; doubled, it breaks it
+    doubled = dataclasses.replace(tab, numerators=(tab.numerators[0].scale(2),)
+                                  + tab.numerators[1:])
+    assert coeff_bound_check(tab, 0).holds
+    assert not coeff_bound_check(doubled, 0).holds
     # bounds are monotone in the weight for nested exponent elements
     small = binom_coeffs(fueter(p, 1), 6, full=True)
     for m in range(7):
