@@ -9,8 +9,9 @@ evaluation in complex doubles with an a-priori error bound.
 A CycloInt coordinate is always a plain int: the ring is Z[zeta], not
 Q(zeta), so there is no inverse, and division by lambda = 1 - zeta is exact
 or refused.  The coordinate kernels below (basis product, Galois
-permutation, rotation by a power of zeta, square-and-multiply) serve both
-CycloInt and the semilocal rings Z_y[zeta], which share the basis.
+permutation, rotation by a power of zeta, square-and-multiply) and the
+polynomial Euclid over Z/m serve both CycloInt and the semilocal rings
+Z_y[zeta], which share the basis.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .group_ring import GroupRingElement, is_prime, prime_power_split, primitive_root
 from . import linalg
@@ -466,6 +467,61 @@ def max_conjugate_abs(x: CycloInt) -> Tuple[float, float]:
     return best
 
 
+# -- polynomial helpers over Z/m ------------------------------------------------------
+# Coefficient lists, lowest degree first.  Division needs the leading
+# coefficient of the divisor to be a unit mod m: over a field F_r it always
+# is; over Z/N with N composite, pow(lc, -1, N) raises ValueError when not.
+
+
+def _poly_trim(f: List[int]) -> List[int]:
+    while f and f[-1] == 0:
+        f.pop()
+    return f
+
+
+def _poly_red(f: Sequence[int], m: int) -> List[int]:
+    return _poly_trim([c % m for c in f])
+
+
+def _poly_divmod(a: Sequence[int], b: Sequence[int], m: int) -> Tuple[List[int], List[int]]:
+    """Division with remainder; ValueError when the leading coefficient of b
+    is not a unit mod m."""
+    a = _poly_red(a, m)
+    b = _poly_red(b, m)
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    inv = pow(b[-1], -1, m)
+    q = [0] * max(len(a) - len(b) + 1, 0)
+    while len(a) >= len(b):
+        shift = len(a) - len(b)
+        coef = a[-1] * inv % m
+        q[shift] = coef
+        for i, y in enumerate(b):
+            a[shift + i] = (a[shift + i] - coef * y) % m
+        _poly_trim(a)
+    return _poly_trim(q), a
+
+
+def _poly_mod(a, b, m):
+    return _poly_divmod(a, b, m)[1]
+
+
+def _poly_gcd(a: Sequence[int], b: Sequence[int], m: int) -> List[int]:
+    """Monic gcd over Z/m by Euclid.  Over a field F_m it always exists; over
+    composite m, ValueError when a leading coefficient met is not a unit."""
+    a, b = _poly_red(a, m), _poly_red(b, m)
+    while b:
+        a, b = b, _poly_mod(a, b, m)
+    if a:
+        inv = pow(a[-1], -1, m)
+        a = [x * inv % m for x in a]
+    return a
+
+
+def _cyclotomic_poly(p: int) -> List[int]:
+    return [1] * p
+
+
 # -- ideals in Hermite normal form -----------------------------------------------------
 
 
@@ -477,9 +533,28 @@ def _hnf_norm(hnf: Sequence[Sequence[int]]) -> int:
     return n
 
 
+def _linear_root(g: CycloInt, n: int) -> Optional[int]:
+    """c with gcd(Phi_p, g) = X - c over Z/n, g read as sum_e g_e X^e; None
+    when Euclid meets a leading coefficient that is not a unit mod n, or when
+    the monic gcd is not linear."""
+    try:
+        d = _poly_gcd(_cyclotomic_poly(g.p), [0, *g.coords], n)
+    except ValueError:
+        return None
+    return -d[0] % n if len(d) == 2 else None
+
+
 @dataclass(frozen=True, eq=False)
 class CycloIdeal:
-    """Nonzero ideal of Z[zeta] as the HNF basis of its coordinate lattice."""
+    """Nonzero ideal of Z[zeta] as the HNF basis of its coordinate lattice.
+
+    Two routes build the HNF.  An ideal with Z[zeta]/I = Z/n is the kernel of
+    zeta -> c mod n for one root c of Phi_p mod n (Kummer-Dedekind), so its
+    HNF is written from (n, c): a principal ideal whose generator shares a
+    linear factor X - c with Phi_p mod |N(g)|, and a product of two such
+    ideals with coprime norms, whose roots join by CRT.  Every other ideal
+    takes the generic HNF of its generators' zeta-multiples.
+    """
 
     p: int
     hnf: Tuple[Tuple[int, ...], ...]
@@ -490,12 +565,14 @@ class CycloIdeal:
         if not gens:
             raise ValueError("the zero ideal is not supported")
         p = gens[0].p
+        bound = abs(gens[0].norm())
+        if len(gens) == 1:
+            c = _linear_root(gens[0], bound)
+            if c is not None:
+                return cls._kernel_at_root(p, bound, c, gens[0])
         rows = []
         for g in gens:
             rows.extend(zeta_shift(p, g.coords, k) for k in range(p - 1))
-        bound = abs(gens[0].norm())
-        if bound == 0:
-            raise ValueError("zero generator")
         hnf = linalg.hermite_normal_form(rows, p - 1, det_multiple=bound)
         ideal = cls(p, tuple(tuple(r) for r in hnf))
         ideal._verify_zeta_stable()
@@ -504,6 +581,40 @@ class CycloIdeal:
     @classmethod
     def principal(cls, g: CycloInt) -> "CycloIdeal":
         return cls.from_generators([g])
+
+    @classmethod
+    def _kernel_at_root(cls, p: int, n: int, c: int,
+                        g: Optional[CycloInt] = None) -> "CycloIdeal":
+        """The kernel of Z[zeta] -> Z/n, zeta -> c, written in HNF: the row of
+        zeta^j (j < p - 1) is zeta^j - c^(j+1) zeta^(p-1) mod n, which maps to
+        c^j (1 - c^p) = 0, and the last row is n zeta^(p-1).
+
+        Certificate: Phi_p(c) = 0 mod n makes zeta -> c a ring map onto Z/n,
+        whose kernel has index n; the rows lie in it and span a lattice of
+        index n, so they span the kernel.  For a principal ideal (g), with
+        n = |N(g)|: g(c) = 0 mod n puts g in the kernel, and (g) has index n
+        too, so the two are equal.  A failed check raises AssertionError.
+        """
+        powers = [1]
+        for _ in range(p - 1):
+            powers.append(powers[-1] * c % n)
+        if sum(powers) % n:
+            raise AssertionError(f"{c} is not a root of Phi_{p} mod {n}")
+        if g is not None and sum(map(operator.mul, g.coords, powers[1:])) % n:
+            raise AssertionError(f"the generator does not vanish at {c} mod {n}")
+        rows = [tuple(1 if k == j else 0 for k in range(p - 2)) + (-powers[j + 2] % n,)
+                for j in range(p - 2)]
+        rows.append((0,) * (p - 2) + (n,))
+        return cls(p, tuple(rows))
+
+    def _cyclic_root(self) -> Optional[Tuple[int, int]]:
+        """(n, c) when the HNF pivots are 1, ..., 1, n, so that Z[zeta]/I = Z/n
+        with zeta -> c; else None.  The row of zeta^(p-2) ends in
+        -c^(p-1) = -c^-1 mod n, which gives c."""
+        n = self.hnf[-1][-1]
+        if self.norm() != n:
+            return None
+        return n, -pow(self.hnf[-2][-1], -1, n) % n
 
     def _verify_zeta_stable(self) -> None:
         for row in self.hnf:
@@ -538,6 +649,13 @@ class CycloIdeal:
     def __mul__(self, other: "CycloIdeal") -> "CycloIdeal":
         if self.p != other.p:
             raise ValueError("mismatched primes")
+        # coprime norms make the factors comaximal, so the product is their
+        # intersection: the kernel at the root that is c1 mod n1 and c2 mod n2
+        mine, theirs = self._cyclic_root(), other._cyclic_root()
+        if mine and theirs and math.gcd(mine[0], theirs[0]) == 1:
+            (n1, c1), (n2, c2) = mine, theirs
+            c = c1 + n1 * ((c2 - c1) * pow(n1, -1, n2) % n2)
+            return CycloIdeal._kernel_at_root(self.p, n1 * n2, c)
         # the Z-basis of self times ideal generators of other spans the
         # product lattice, so no further closure under zeta is needed; the
         # norm product times the standard lattice sits inside the product ideal

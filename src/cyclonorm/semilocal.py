@@ -15,8 +15,9 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Tuple, Union
 
-from .cyclotomic import (CycloInt, basis_product, galois_coords, orbit_product, power,
-                         zeta_shift)
+from .cyclotomic import (CycloInt, _cyclotomic_poly, _poly_divmod, _poly_gcd, _poly_mod,
+                         _poly_red, _poly_trim, basis_product, galois_coords, orbit_product,
+                         power, zeta_shift)
 from .group_ring import is_prime, prime_power_split
 
 
@@ -165,17 +166,7 @@ def y_digits(u: SemilocalElement, digits: int, y: int) -> YDigits:
     return YDigits(u.p, y, tuple(out))
 
 
-# -- polynomial helpers over Z/m -------------------------------------------------------
-
-
-def _poly_trim(f: List[int]) -> List[int]:
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def _poly_red(f: Sequence[int], m: int) -> List[int]:
-    return _poly_trim([c % m for c in f])
+# -- polynomial product over Z/m -------------------------------------------------------
 
 
 def _poly_mul(a: Sequence[int], b: Sequence[int], m: int) -> List[int]:
@@ -187,43 +178,6 @@ def _poly_mul(a: Sequence[int], b: Sequence[int], m: int) -> List[int]:
             for j, y in enumerate(b):
                 out[i + j] = (out[i + j] + x * y) % m
     return _poly_trim(out)
-
-
-def _poly_divmod(a: Sequence[int], b: Sequence[int], m: int) -> Tuple[List[int], List[int]]:
-    """Division with remainder; the leading coefficient of b must be a unit mod m."""
-    a = _poly_red(a, m)
-    b = _poly_red(b, m)
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    inv = pow(b[-1], -1, m)
-    q = [0] * max(len(a) - len(b) + 1, 0)
-    while len(a) >= len(b):
-        shift = len(a) - len(b)
-        coef = a[-1] * inv % m
-        q[shift] = coef
-        for i, y in enumerate(b):
-            a[shift + i] = (a[shift + i] - coef * y) % m
-        _poly_trim(a)
-    return _poly_trim(q), a
-
-
-def _poly_mod(a, b, m):
-    return _poly_divmod(a, b, m)[1]
-
-
-def _poly_gcd(a: Sequence[int], b: Sequence[int], r: int) -> List[int]:
-    """Monic gcd over the field F_r."""
-    a, b = _poly_red(a, r), _poly_red(b, r)
-    while b:
-        a, b = b, _poly_mod(a, b, r)
-    if a:
-        inv = pow(a[-1], -1, r)
-        a = [x * inv % r for x in a]
-    return a
-
-
-def _cyclotomic_poly(p: int) -> List[int]:
-    return [1] * p
 
 
 # -- factorization of Phi_p at rational primes ----------------------------------------

@@ -320,7 +320,6 @@ def binomial_abs_bound(weight: int, q: int, m: int, doubled: bool) -> Fraction:
 @dataclass(frozen=True)
 class BoundCheck:
     m: int
-    value: float
     bound: Fraction
     holds: bool
 
@@ -339,7 +338,7 @@ def coeff_bound_check(table: SeriesTable, m: int) -> BoundCheck:
     q_e = table.q ** denominator_exponent(m, table.q)
     holds = (Fraction(val + err) * (1 + Fraction(1, 2 ** 50))
              <= bound * (1 + Fraction(1, 2 ** 20)) * q_e)
-    return BoundCheck(m, val / q_e, bound, holds)
+    return BoundCheck(m, bound, holds)
 
 
 # -- semilocal evaluation ---------------------------------------------------------------

@@ -8,6 +8,9 @@ from cyclonorm import linalg
 from cyclonorm.cyclotomic import (
     CycloIdeal,
     CycloInt,
+    _cyclotomic_poly,
+    _linear_root,
+    _poly_gcd,
     characteristic_data,
     divide_by_uniformizer,
     equation_value,
@@ -294,6 +297,91 @@ def test_generators_take_a_third_row_when_two_fall_short(p, alpha, n):
     assert CycloIdeal.from_generators(gens[:2]) != ideal
     assert CycloIdeal.from_generators(gens) == ideal
     assert ideal * ideal == reference_ideal_mul(ideal, ideal)
+
+
+def reference_principal_hnf(g):
+    """The generic route: the HNF of the p - 1 multiples zeta^k g, mod |N(g)|."""
+    p = g.p
+    rows = [kappa(CycloInt.zeta_power(p, k) * g) for k in range(p - 1)]
+    hnf = linalg.hermite_normal_form(rows, p - 1, det_multiple=abs(g.norm()))
+    return tuple(map(tuple, hnf))
+
+
+def principal_generators(p):
+    """Elements with coordinates in -4..4, their multiples by lambda, x sigma_2(x)
+    (a split prime of N(x) comes back as two primes over it, so the quotient
+    is not cyclic) and the units zeta^k (the unit ideal)."""
+    elem = st.tuples(*([st.integers(-4, 4)] * (p - 1))).map(
+        lambda t: CycloInt(p, t)).filter(lambda x: not x.is_zero())
+    lam = uniformizer(p)
+    return st.one_of(
+        elem,
+        elem.map(lambda x: x * lam),
+        elem.map(lambda x: x * x.galois(2)),
+        st.integers(0, p - 1).map(lambda k: CycloInt.zeta_power(p, k)),
+    )
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_principal_hnf_matches_generic_route(p, data):
+    g = data.draw(principal_generators(p), label="g")
+    assert CycloIdeal.principal(g).hnf == reference_principal_hnf(g)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_principal_products_match_full_basis_product(p, data):
+    a = CycloIdeal.principal(data.draw(principal_generators(p), label="a"))
+    b = CycloIdeal.principal(data.draw(principal_generators(p), label="b"))
+    # a b: mostly coprime norms (the CRT route); a a: a shared norm (generic)
+    assert a * b == reference_ideal_mul(a, b)
+    assert a * a == reference_ideal_mul(a, a)
+
+
+# p = 5 generators, one per case of the principal route
+@pytest.mark.parametrize("coords,norm,case", [
+    ((-2, -3, 0, -3), 31, "cyclic"),      # gcd(Phi_5, g) = X - 16 mod 31
+    ((1, 1, -2, 0), 55, "cyclic"),        # lambda (zeta + 2 zeta^2)
+    ((-4, 1, -4, 0), 121, "not cyclic"),  # two primes over 11: quotient F_11^2
+    ((4, -4, -2, 3), 3091, "non-unit"),   # cyclic, but Euclid meets 11 | lc mod 11 * 281
+    ((0, 0, -1, -1), 1, "unit"),
+])
+def test_principal_route_cases(coords, norm, case):
+    g = CycloInt(5, coords)
+    assert abs(g.norm()) == norm
+    ideal = CycloIdeal.principal(g)
+    assert ideal.hnf == reference_principal_hnf(g)
+    assert (_linear_root(g, norm) is not None) == (case == "cyclic")
+    assert (ideal._cyclic_root() is not None) == (case != "not cyclic")
+    if case == "non-unit":
+        with pytest.raises(ValueError):
+            _poly_gcd(_cyclotomic_poly(5), [0, *coords], norm)
+
+
+def test_crt_product_of_coprime_cyclic_ideals():
+    p = 5
+    a, b = CycloInt(p, (-2, -3, 0, -3)), uniformizer(p)
+    ia, ib = CycloIdeal.principal(a), CycloIdeal.principal(b)
+    assert ia._cyclic_root() == (31, 16) and ib._cyclic_root() == (5, 1)
+    product = ia * ib
+    assert product._cyclic_root() == (155, 16)
+    assert product == reference_ideal_mul(ia, ib) == CycloIdeal.principal(a * b)
+
+
+def test_wrong_root_fails_the_certificate():
+    p, g = 5, CycloInt(5, (-2, -3, 0, -3))
+    c = _linear_root(g, 31)
+    assert CycloIdeal._kernel_at_root(p, 31, c, g) == CycloIdeal.principal(g)
+    # c + 1 is no root of Phi_5 mod 31; c^2 is, but g does not vanish there
+    for wrong in (c + 1, c * c % 31):
+        with pytest.raises(AssertionError):
+            CycloIdeal._kernel_at_root(p, 31, wrong, g)
+    # without a generator, as for a CRT product, Phi_5(c + 1) alone fails
+    with pytest.raises(AssertionError):
+        CycloIdeal._kernel_at_root(p, 31, c + 1)
 
 
 def test_characteristic_data_p3():

@@ -47,6 +47,8 @@ REPORT_PINS = {
         "9ef39d175c79d37afb8b8ad7d89f61b206c20e1926d3dd14d52742ff893330a8",
     ("identities", 17, None, None):
         "099206a2dcf3e9525763f168a2cd4328b5fc7c94ed1afd4976238d66a13f0391",
+    ("identities", 19, None, None):
+        "1d00f7cf0a436edfe92c11a4dc8feda6585a0700ee3eb75919dc2a079905e950",
     ("identities", 23, None, None):
         "10294dd0ebfc8c69eaafdcc5da5e3bf33b1b9d8000394d987f979817bb70ac39",
     ("identities", 37, None, None):

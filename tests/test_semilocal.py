@@ -6,17 +6,21 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from cyclonorm.cyclotomic import CycloInt, orbit_product, zeta_shift
-from cyclonorm.group_ring import is_prime
-from cyclonorm.semilocal import (
-    SemilocalElement,
+from cyclonorm.cyclotomic import (
+    CycloInt,
     _cyclotomic_poly,
     _poly_divmod,
     _poly_gcd,
     _poly_mod,
-    _poly_mul,
     _poly_red,
     _poly_trim,
+    orbit_product,
+    zeta_shift,
+)
+from cyclonorm.group_ring import is_prime
+from cyclonorm.semilocal import (
+    SemilocalElement,
+    _poly_mul,
     balanced_digit,
     count_primes_above,
     factor_phi,
