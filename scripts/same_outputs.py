@@ -9,10 +9,13 @@ each command of EXTRA_COMMANDS once, with `--out` in the work directory.
 Those reach paths that no benchmark op reaches: the p = 3 search, the p = 3
 pipelines (e = 0, and e = 1 with its division by 1 - zeta), the search
 with a second prime q, the identities at p = 59, the least prime whose
-weight-2 annihilator comes from the double-Fueter recipe (about 6 s per
-tree), and the pipeline at (31, 2, 67), which builds its root of unity
+weight-2 annihilator comes from the double-Fueter recipe (about 2 s per
+tree), the pipeline at (31, 2, 67), which builds its root of unity
 from the ten cubic factors of Phi_31 over F_67 and reaches `root_slots`
-and `factor_phi` beyond the benchmark's primes (about 2 s per tree).
+and `factor_phi` beyond the benchmark's primes (about 1 s per tree), and
+the pipeline at (29, 2, 59), where all 28 twists are searched in the
+sqrt(y) box before the box-lemma fallback (0.3-0.9 s per tree).  The
+further commands take about 3 s per tree in all (2-vCPU host, Python 3.11).
 
 Both trees run in the same work directory, because a report records its
 `--out` path.  Each op is summed up by the SHA-256 of its output files,
@@ -50,6 +53,7 @@ EXTRA_COMMANDS = [
     ["pipeline", "--p", "3", "--x", "2", "--y", "1"],
     ["identities", "--p", "59"],
     ["pipeline", "--p", "31", "--x", "2", "--y", "67"],
+    ["pipeline", "--p", "29", "--x", "2", "--y", "59"],
 ]
 
 

@@ -116,7 +116,7 @@ class Report:
         tree = {
             "command": self.command,
             "config": _plain(self.config),
-            "records": [asdict(r) for r in self.records],
+            "records": [vars(r) for r in self.records],   # Report.add stored plain copies
             "summary": self.counts,
         }
         return json.dumps(tree, sort_keys=True, indent=1, separators=(",", ": ")) + "\n"
@@ -354,9 +354,10 @@ def cmd_identities(cfg: RunConfig) -> Report:
         if a.is_zero() or b.is_zero():
             continue
         ia, ib = CycloIdeal.principal(a), CycloIdeal.principal(b)
-        if ia * ib != CycloIdeal.principal(a * b):
+        iab = ia * ib
+        if iab != CycloIdeal.principal(a * b):
             ideal_ok = False
-        if ia.norm() * ib.norm() != (ia * ib).norm():
+        if ia.norm() * ib.norm() != iab.norm():
             ideal_ok = False
     report.add("ideal-arithmetic", "uniformizer-power-and-products", ideal_ok,
                {"p": p, "seed": cfg.seed}, {})

@@ -10,6 +10,7 @@ inhomogeneous twist selection, and the final inequality evaluators.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -200,19 +201,70 @@ def hadamard_bv(rows: Sequence[Sequence[int]], ambient: int) -> BoxBound:
     return BoxBound(d[-1], len(rows), ambient)
 
 
+def bordered_bounds(shared: Sequence[Sequence[int]], extra: Sequence[Sequence[int]],
+                    ambient: int) -> List[Optional[BoxBound]]:
+    """hadamard_bv(shared + [row], ambient) for each row of extra, from one
+    integral Gram-Schmidt of the shared rows bordered by each row in turn
+    (the last step of integral_gso's recurrence).  None where hadamard_bv
+    raises ValueError: too many rows, or dependent ones, so dependent shared
+    rows give no row a bound."""
+    count = len(shared) + 1
+    if count >= ambient:
+        return [None] * len(extra)
+    try:
+        d, lam = linalg.integral_gso(linalg.gram_matrix(shared))
+    except ValueError:
+        return [None] * len(extra)
+    bounds: List[Optional[BoxBound]] = []
+    for row in extra:
+        products = [_dot(row, s) for s in shared] + [_dot(row, row)]
+        det = linalg.gso_border(d, lam, products)[-1]
+        bounds.append(BoxBound(det, count, ambient) if det else None)
+    return bounds
+
+
+def extend_kernel(kernel: Sequence[Sequence[int]], row: Sequence[int]) -> List[List[int]]:
+    """Basis of the saturated kernel of a system with `row` appended, from a
+    basis K of the saturated kernel of the system.
+
+    c -> c K maps Z^len(K) onto that saturated kernel, so the vectors it
+    also sends to zero under row are c K for c in the saturated kernel of
+    the one integer form c -> row . (c K).
+    """
+    form = [_dot(row, v) for v in kernel]
+    extended = []
+    for c in linalg.integer_kernel([form], len(kernel)):
+        vec = [0] * len(row)
+        for ci, v in zip(c, kernel):
+            if ci:
+                vec = [a + ci * b for a, b in zip(vec, v)]
+        extended.append(vec)
+    return extended
+
+
+def _dot(u: Sequence[int], v: Sequence[int]) -> int:
+    return sum(map(mul, u, v))
+
+
 # Work limit of the kernel-vector search: vectors met, one per +/- pair.
 ENUMERATION_LIMIT = 100_000
 
 
 def siegel_solve(rows: Sequence[Sequence[int]], ambient: int,
-                 bound: Optional[int] = None) -> List[int]:
+                 bound: Optional[int] = None,
+                 kernel: Optional[Sequence[Sequence[int]]] = None) -> List[int]:
     """A nonzero integer kernel vector with sup-norm within the box bound.
 
     Kernel basis by exact unimodular elimination, LLL-reduced, then searched
-    by Fincke-Pohst enumeration.  With r the smaller of the bound and the
-    least sup-norm in the reduced basis, the enumeration covers the ball of
-    squared radius ambient * r^2, which holds every vector of sup-norm <= r,
-    and cuts the branches that hold none, so the search is complete.
+    by Fincke-Pohst enumeration.  A caller that already holds a basis of the
+    saturated kernel passes it as `kernel` instead: each vector must have
+    length ambient and satisfy rows . v = 0, else ValueError; that it spans
+    the whole saturated kernel is the caller's word, and the witness is
+    the least vector of the lattice it spans.  With r the smaller of the
+    bound and the least sup-norm in the reduced basis, the enumeration
+    covers the ball of squared radius ambient * r^2, which holds every
+    vector of sup-norm <= r, and cuts the branches that hold none, so the
+    search is complete.
     Deterministic: the (sup-norm, coordinates)-smallest admissible vector
     wins, sign-normalized.  The box still holds exponentially many vectors
     as the kernel dimension grows; a search that meets more than
@@ -233,7 +285,11 @@ def siegel_solve(rows: Sequence[Sequence[int]], ambient: int,
             v = [-x for x in v]
         return (max(abs(x) for x in v), tuple(v))
 
-    kernel = linalg.integer_kernel(rows, ambient)
+    if kernel is None:
+        kernel = linalg.integer_kernel(rows, ambient)
+    elif any(len(v) != ambient or any(_dot(r, v) for r in rows) for v in kernel):
+        raise ValueError("each given kernel vector must have length ambient and be "
+                         "annihilated by the rows")
     if not kernel:
         raise SolverIncomplete("kernel is trivial")
     reduced = linalg.lll_reduce(kernel)
@@ -278,6 +334,13 @@ def inhomogeneous_select(mtable: ModifiedTable, level: Optional[int] = None) -> 
     other pairs with sum <= level.  When the ambient dimension p-1 cannot
     support the full condition count (small p), the level is lowered and the
     trace-zero row dropped as needed; every waiver is reported.
+
+    The p - 1 twisted systems share every row but the twisted pivot row.
+    The kernel of the shared rows is computed once, and each twist's kernel
+    is built from it by extend_kernel when the scan first reaches that twist,
+    then kept for the second radius; siegel_solve takes it as given.  The
+    box-lemma fallback bounds each twist by bordering one integral
+    Gram-Schmidt of the shared rows with its row (bordered_bounds).
     """
     src = mtable.source
     p, y = src.p, src.y
@@ -322,17 +385,19 @@ def inhomogeneous_select(mtable: ModifiedTable, level: Optional[int] = None) -> 
     box_radius = linalg.iroot(y, 2)
     pivot = mtable.entries[pivot_pair]
     pivot_row = trace_row(pivot)
-    twisted = []             # (k, condition rows with the pivot twisted by zeta^k)
-    for k in range(1, p):
-        zeta_row = trace_row(CycloInt.zeta_power(p, k))
-        twisted.append((k, base_rows + [[a + b for a, b in zip(pivot_row, zeta_row)]]))
+    twist_rows = [[a + b for a, b in zip(pivot_row, trace_row(CycloInt.zeta_power(p, k)))]
+                  for k in range(1, p)]      # the pivot row twisted by zeta^k, k = 1..p-1
+    shared_kernel = linalg.integer_kernel(base_rows, p - 1)
+    kernels: Dict[int, List[List[int]]] = {}   # twist k -> kernel of its rows
 
     limited = set()          # twists whose search stopped at ENUMERATION_LIMIT
 
     def scan(radius_limit: int) -> Optional[Tuple]:
-        for k, rows in twisted:
+        for k, row in enumerate(twist_rows, 1):
+            if k not in kernels:
+                kernels[k] = extend_kernel(shared_kernel, row)
             try:
-                w_coords = siegel_solve(rows, p - 1, radius_limit)
+                w_coords = siegel_solve(base_rows + [row], p - 1, radius_limit, kernels[k])
             except SolverIncomplete as exc:
                 if isinstance(exc, EnumerationLimit):
                     limited.add(k)
@@ -350,12 +415,9 @@ def inhomogeneous_select(mtable: ModifiedTable, level: Optional[int] = None) -> 
         # The sqrt(y) box is guaranteed only beyond the theorem's size range;
         # fall back to the box-lemma bound of the condition rows.
         bv_radius = box_radius
-        for _, rows in twisted:
-            try:
-                box = hadamard_bv(rows, p - 1)
-            except ValueError:        # dependent rows: this twist has no box bound
-                continue
-            bv_radius = max(bv_radius, box.sup_bound_int())
+        for box in bordered_bounds(base_rows, twist_rows, p - 1):
+            if box is not None:       # None: dependent rows, no box bound
+                bv_radius = max(bv_radius, box.sup_bound_int())
         if bv_radius > box_radius:
             radii.append(bv_radius)
             best = scan(bv_radius)

@@ -70,6 +70,10 @@ REPORT_PINS = {
         "30b11c00f59bca244b472af71124d7d5fbced6ad015543aa55a4c0630cda4d69",
     ("pipeline", 23, 2, 41):
         "453b0ff70a5d947dd87a097ab7a8fcfa0fcf6042214f54bd0d53eaa737c5002b",
+    # no twist has a vector in the sqrt(y) box; the box-lemma radius is
+    # reached, and there twists 1-4 pair to 0 and twist 5 wins
+    ("pipeline", 19, 2, 39):
+        "59780e81e520df9fd8906b4b7bea950f30013fff96624605d097b8b1ab5a4164",
     # p = 3 solutions: e = 0, and e = 1, where alpha is divided by lambda
     ("pipeline", 3, 19, 18):
         "663b3d3d0ee99cc5f115814e7f90e3825b9f3ee495110ddee2e3dc092236326b",
@@ -90,6 +94,14 @@ def test_report_bytes_pinned(key):
     cmd = cmd_identities if command == "identities" else cmd_pipeline
     text = cmd(RunConfig(command, p=p, x=x, y=y, seed=0)).to_json()
     assert hashlib.sha256(text.encode("ascii")).hexdigest() == REPORT_PINS[key]
+
+
+def test_report_bytes_pinned_at_a_seed():
+    # the shared condition rows of this twist stage are linearly dependent,
+    # so they have no Gram-Schmidt data; twist 1 wins in the sqrt(y) box
+    text = cmd_pipeline(RunConfig("pipeline", p=11, x=5, y=39, seed=1861842506)).to_json()
+    assert (hashlib.sha256(text.encode("ascii")).hexdigest()
+            == "c64a51b5320da19f9ec13e243a2481b84375cb424dd24190a62492fca685958b")
 
 
 @pytest.mark.parametrize("key", sorted(SEARCH_PINS, key=str), ids=lambda k: "-".join(map(str, k)))

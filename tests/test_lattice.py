@@ -3,6 +3,7 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cyclonorm import lattice, linalg
 from cyclonorm.cyclotomic import CycloInt
@@ -11,9 +12,11 @@ from cyclonorm.lattice import (
     ENUMERATION_LIMIT,
     SolverIncomplete,
     perturb_for_independence,
+    bordered_bounds,
     bound_clash,
     default_vanishing_order,
     displayed_chain_holds,
+    extend_kernel,
     guard_depth,
     hadamard_bv,
     inhomogeneous_select,
@@ -190,6 +193,80 @@ def test_siegel_refuses_bound_below_one():
     for bound in (0, -4):
         with pytest.raises(ValueError):
             siegel_solve([[1, 1, 1, 1, 1]], 5, bound)
+
+
+@st.composite
+def shared_rows_and_row(draw):
+    """m < n <= 12 shared rows with entries in -9..9 and one extra row; up to
+    two rows are combinations of the rows before them (dependent blocks)."""
+    n = draw(st.integers(min_value=2, max_value=12))
+    m = draw(st.integers(min_value=0, max_value=n - 1))
+    dependent = draw(st.sets(st.integers(min_value=1, max_value=m), max_size=2)) if m else ()
+    rows = []
+    for i in range(m + 1):
+        if i in dependent:
+            coeffs = draw(st.lists(st.integers(min_value=-2, max_value=2),
+                                   min_size=len(rows), max_size=len(rows)))
+            rows.append([sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(n)])
+        else:
+            rows.append(draw(st.lists(st.integers(min_value=-9, max_value=9),
+                                      min_size=n, max_size=n)))
+    return rows[:m], rows[m], n
+
+
+def _gram_det(basis):
+    return linalg.integral_gso(linalg.gram_matrix(basis))[0][-1]
+
+
+def _solve(*args):
+    try:
+        return siegel_solve(*args)
+    except (SolverIncomplete, ValueError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shared_rows_and_row(), st.integers(min_value=1, max_value=2))
+def test_twist_kernel_from_the_shared_kernel(system, bound):
+    shared, row, n = system
+    rows = shared + [row]
+    ours = extend_kernel(linalg.integer_kernel(shared, n), row)
+    direct = linalg.integer_kernel(rows, n)
+    for basis in (ours, direct):
+        assert all(len(v) == n and not any(sum(a * b for a, b in zip(r, v)) for r in rows)
+                   for v in basis)
+    # two sublattices of the saturated kernel with one rank and one covolume
+    assert len(ours) == len(direct)
+    assert _gram_det(ours) == _gram_det(direct)
+    try:
+        expected = hadamard_bv(rows, n)
+    except ValueError:
+        expected = None
+    assert bordered_bounds(shared, [row], n) == [expected]
+    if len(ours) <= 6:       # the box search grows with the kernel dimension
+        assert _solve(rows, n, bound, ours) == _solve(rows, n, bound)
+
+
+def test_bordered_bounds_per_row():
+    shared = [[1, 1, 1, 1, 1]]
+    extra = [[1, 2, 3, 4, 5], [2, 2, 2, 2, 2], [0, 0, 0, 0, 0], [1, 0, 0, 0, -1]]
+    got = bordered_bounds(shared, extra, 5)
+    assert got == [hadamard_bv(shared + [extra[0]], 5), None, None,
+                   hadamard_bv(shared + [extra[3]], 5)]
+    assert got[3].gram_det == 10
+    # dependent shared rows, or too many rows, give no row a bound
+    assert bordered_bounds([[1, 2, 0], [2, 4, 0]], [[0, 0, 1]], 4) == [None]
+    assert bordered_bounds([[1, 0, 0], [0, 1, 0]], [[0, 0, 1]], 3) == [None]
+
+
+def test_siegel_rejects_a_kernel_the_rows_do_not_annihilate():
+    rows = [[1, 1, 1, 1, 1]]
+    kernel = linalg.integer_kernel(rows, 5)
+    assert siegel_solve(rows, 5, 1, kernel) == siegel_solve(rows, 5, 1)
+    with pytest.raises(ValueError, match="annihilated by the rows"):
+        siegel_solve(rows, 5, 1, kernel + [[1, 0, 0, 0, 0]])
+    with pytest.raises(ValueError, match="annihilated by the rows"):
+        siegel_solve(rows, 5, 1, [v[:4] for v in kernel])
 
 
 def test_matrix_file_roundtrip(tmp_path):

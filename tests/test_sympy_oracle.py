@@ -1,14 +1,20 @@
-"""CycloIdeal lattices against sympy's Hermite normal form, an oracle written
-outside this package.  sympy's HNF is column-style, so the two bases are
-compared as lattices: each lies in the other's span over Z, and both have the
-same index.  The package itself never imports sympy."""
+"""Fast routes against sympy, an oracle written outside this package.
 
+CycloIdeal lattices against sympy's Hermite normal form: sympy's HNF is
+column-style, so the two bases are compared as lattices: each lies in the
+other's span over Z, and both have the same index.  linalg.integer_kernel
+against sympy's nullspace over Q, and its saturation by the gcd of its
+maximal minors.  The package itself never imports sympy."""
+
+import itertools
 import math
 import random
 
 import pytest
 
+from cyclonorm import lattice, linalg
 from cyclonorm.cyclotomic import CycloIdeal, CycloInt, _linear_root, kappa, uniformizer
+from cyclonorm.harness import RunConfig, cmd_pipeline
 
 sympy = pytest.importorskip("sympy")
 from sympy.matrices.normalforms import hermite_normal_form  # noqa: E402
@@ -72,3 +78,55 @@ def test_lambda_powers_match_sympy(p):
     lam = uniformizer(p)
     for k in range(1, p + 1):
         assert_same_lattice(CycloIdeal.principal(lam) ** k, lam ** k)
+
+
+def assert_kernel_matches_sympy(rows, n):
+    """integer_kernel(rows, n) spans sympy's nullspace over Q and is saturated:
+    the gcd of its r x r minors is 1, so it is all of the kernel in Z^n."""
+    basis = linalg.integer_kernel(rows, n)
+    nullspace = (sympy.Matrix(rows) if rows else sympy.zeros(1, n)).nullspace()
+    r = len(nullspace)
+    assert len(basis) == r
+    if not r:
+        return
+    ours = sympy.Matrix(basis).T
+    theirs = sympy.Matrix.hstack(*nullspace)
+    # equal rank, and containment both ways over Q
+    assert ours.rank() == theirs.rank() == sympy.Matrix.hstack(ours, theirs).rank() == r
+    g = 0
+    for cols in itertools.combinations(range(n), r):
+        g = math.gcd(g, int(ours.extract(list(cols), list(range(r))).det(method="bareiss")))
+        if g == 1:
+            break
+    assert g == 1
+
+
+def test_integer_kernel_matches_sympy_on_random_systems():
+    rng = random.Random(7)
+    for _ in range(60):
+        n = rng.randrange(1, 9)
+        rows = [[rng.randrange(-9, 10) for _ in range(n)] for _ in range(rng.randrange(0, n + 2))]
+        if len(rows) > 1 and rng.random() < 0.4:     # a dependent row
+            a, b = rng.sample(rows, 2)
+            rows.append([2 * x - 3 * y for x, y in zip(a, b)])
+        assert_kernel_matches_sympy(rows, n)
+
+
+@pytest.mark.parametrize("p, x, y, seed", [
+    (7, 3, 26, 0), (11, 5, 39, 1861842506), (17, 2, 19, 0), (19, 2, 39, 0)])
+def test_integer_kernel_matches_sympy_on_twisted_systems(monkeypatch, p, x, y, seed):
+    # the condition systems the twist stage hands to siegel_solve, and their
+    # shared rows alone
+    systems = set()
+    solve = lattice.siegel_solve
+
+    def recording(rows, ambient, *args):
+        systems.add(tuple(map(tuple, rows)))
+        systems.add(tuple(map(tuple, rows[:-1])))
+        return solve(rows, ambient, *args)
+
+    monkeypatch.setattr(lattice, "siegel_solve", recording)
+    cmd_pipeline(RunConfig("pipeline", p=p, x=x, y=y, seed=seed))
+    assert len(systems) >= 2
+    for rows in systems:
+        assert_kernel_matches_sympy([list(r) for r in rows], p - 1)
