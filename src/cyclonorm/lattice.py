@@ -270,6 +270,10 @@ def siegel_solve(rows: Sequence[Sequence[int]], ambient: int,
     as the kernel dimension grows; a search that meets more than
     ENUMERATION_LIMIT of them (one per +/- pair) raises SolverIncomplete
     rather than run for hours or return a vector it has not shown minimal.
+    How many vectors the search meets depends on the reduced basis, and so
+    on the basis it starts from: two bases of one lattice give the same
+    witness wherever neither search reaches the limit, but one may reach it
+    where the other does not.
     """
     rows = [list(r) for r in rows]
     if any(len(r) != ambient for r in rows):
@@ -338,9 +342,12 @@ def inhomogeneous_select(mtable: ModifiedTable, level: Optional[int] = None) -> 
     The p - 1 twisted systems share every row but the twisted pivot row.
     The kernel of the shared rows is computed once, and each twist's kernel
     is built from it by extend_kernel when the scan first reaches that twist,
-    then kept for the second radius; siegel_solve takes it as given.  The
-    box-lemma fallback bounds each twist by bordering one integral
-    Gram-Schmidt of the shared rows with its row (bordered_bounds).
+    then kept for the second radius; siegel_solve takes it as given.  This
+    basis differs from the one integer_kernel gives for the twist's rows, so
+    a twist whose search reaches ENUMERATION_LIMIT with one basis may finish
+    with the other; below the limit the witness is the same.  The box-lemma
+    fallback bounds each twist by bordering one integral Gram-Schmidt of the
+    shared rows with its row (bordered_bounds).
     """
     src = mtable.source
     p, y = src.p, src.y

@@ -207,19 +207,25 @@ def integral_gso(gram: Sequence[Sequence[int]]) -> Tuple[List[int], List[List[in
     d = [1] + [0] * n
     lam = [[0] * n for _ in range(n)]
     for k in range(n):
-        row = gso_border(d, lam, gram[k][:k + 1])
-        if row[k] == 0:
-            raise ValueError("basis must be linearly independent")
-        lam[k][:k] = row[:k]
-        d[k + 1] = row[k]
+        for j in range(k + 1):
+            u = gram[k][j]
+            for i in range(j):
+                u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+            if j < k:
+                lam[k][j] = u
+            elif u == 0:
+                raise ValueError("basis must be linearly independent")
+            else:
+                d[k + 1] = u
     return d, lam
 
 
 def gso_border(d: Sequence[int], lam: Sequence[Sequence[int]],
                products: Sequence[int]) -> List[int]:
-    """One step of integral_gso's recurrence: border the data (d, lam) of
-    independent b_0..b_(k-1) by a vector v, given products = [<v, b_0>, ...,
-    <v, b_(k-1)>, <v, v>].
+    """The step integral_gso's recurrence makes for its row k, for a vector v
+    outside the basis: border the data (d, lam) of independent b_0..b_(k-1)
+    by v, given products = [<v, b_0>, ..., <v, b_(k-1)>, <v, v>].  Bordering
+    one Gram-Schmidt by many vectors in turn costs one step each.
 
     Returns [lam_0, ..., lam_(k-1), D] with lam_j = d[j + 1] mu_j(v) and D
     the Gram determinant of b_0..b_(k-1), v, which is 0 exactly when v lies
