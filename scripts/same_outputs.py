@@ -12,9 +12,12 @@ with a second prime q, the identities at p = 59, the least prime whose
 weight-2 annihilator comes from the double-Fueter recipe (about 2 s per
 tree), the pipeline at (31, 2, 67), which builds its root of unity
 from the ten cubic factors of Phi_31 over F_67 and reaches `root_slots`
-and `factor_phi` beyond the benchmark's primes (about 1 s per tree), and
-the pipeline at (29, 2, 59), where all 28 twists are searched in the
-sqrt(y) box before the box-lemma fallback (0.3-0.9 s per tree).  The
+and `factor_phi` beyond the benchmark's primes (about 1 s per tree), the
+pipeline at (29, 2, 59), where all 28 twists are searched in the
+sqrt(y) box before the box-lemma fallback (0.3-0.9 s per tree), and the
+pipeline at (13, 2, 53), where Phi_13 splits into twelve linear factors
+over F_53, so `factor_phi` lists them directly and `root_slots` moves one
+lifted idempotent onto the other eleven slots (about 0.1 s per tree).  The
 further commands take about 3 s per tree in all (2-vCPU host, Python 3.11).
 
 Both trees run in the same work directory, because a report records its
@@ -54,6 +57,7 @@ EXTRA_COMMANDS = [
     ["identities", "--p", "59"],
     ["pipeline", "--p", "31", "--x", "2", "--y", "67"],
     ["pipeline", "--p", "29", "--x", "2", "--y", "59"],
+    ["pipeline", "--p", "13", "--x", "2", "--y", "53"],
 ]
 
 

@@ -3,8 +3,9 @@
 Z_y[zeta] at working precision y^N is represented as (Z/y^N)[X]/(Phi_p(X)),
 written in the power basis {zeta..zeta^{p-1}}.  The Galois action is the
 substitution X -> X^c.  The product-of-completions picture lives in the same
-ring: each factor of Phi_p over F_r, r | y, gives an idempotent E, lifted
-from F_r to Z/y^N, and x E is the component of x in that completion.
+ring: each factor of Phi_p over F_r, r | y, gives an idempotent E, and x E
+is the component of x in that completion.  One E per prime r is lifted from
+F_r to Z/y^N; the Galois action moves it onto the other factors of r.
 """
 
 from __future__ import annotations
@@ -242,8 +243,11 @@ def factor_phi(r: int, p: int) -> LocalFactorization:
     """Monic factorization of Phi_p over F_r, factors sorted.
 
     g = (p-1)/ord_p(r) distinct factors of degree ord_p(r); the product is
-    checked against Phi_p.  The factorization is unique, so the random
-    splitting cannot change the sorted result.
+    checked against Phi_p, and so is their count.  When r = 1 mod p the
+    factors are listed directly as X - w^k, k = 1..p-1, for one w of order
+    p in F_r^x (a power h^((r-1)/p)); otherwise they come from a
+    Cantor-Zassenhaus split.  The factorization is unique, so neither the
+    route nor the random splitting can change the sorted result.
     """
     if not is_prime(r):
         raise ValueError(f"{r} is not prime")
@@ -251,7 +255,11 @@ def factor_phi(r: int, p: int) -> LocalFactorization:
         raise ValueError("the ramified prime is handled by uniformizer expansions")
     d = multiplicative_order(r, p)
     phi = _poly_red(_cyclotomic_poly(p), r)
-    factors = sorted(_equal_degree_split(phi, d, r, p, random.Random(f"{r}:{p}")))
+    if d == 1:
+        w = next(w for w in (pow(h, (r - 1) // p, r) for h in range(2, r)) if w != 1)
+        factors = sorted([-pow(w, k, r) % r, 1] for k in range(1, p))
+    else:
+        factors = sorted(_equal_degree_split(phi, d, r, p, random.Random(f"{r}:{p}")))
     prod = [1]
     for g in factors:
         prod = _poly_mul(prod, g, r)
@@ -260,6 +268,27 @@ def factor_phi(r: int, p: int) -> LocalFactorization:
     if len(factors) != (p - 1) // d:
         raise ArithmeticError("wrong number of local factors")
     return LocalFactorization(r, p, tuple(map(tuple, factors)))
+
+
+def _x_powers(psi: Sequence[int], p: int, r: int) -> List[List[int]]:
+    """X^k mod (r, psi) for k = 0..p-1."""
+    x_powers = [[1]]
+    for _ in range(p - 1):
+        x_powers.append(_poly_mod([0] + x_powers[-1], psi, r))
+    return x_powers
+
+
+def _root_exponent(psi: Sequence[int], powers: Sequence[Sequence[int]], p: int, r: int) -> int:
+    """The least k with psi(X^k) = 0 in F_r[X]/(base), where powers holds
+    X^j mod (r, base): every root of Phi_p there is a power of X."""
+    for k in range(1, p):
+        acc = [0] * (len(psi) - 1)
+        for i, coef in enumerate(psi):
+            for j, v in enumerate(powers[k * i % p]):
+                acc[j] += coef * v
+        if not any(v % r for v in acc):
+            return k
+    raise ArithmeticError("a local factor has no root among the powers of zeta")
 
 
 # -- roots of unity -----------------------------------------------------------------
@@ -280,13 +309,18 @@ def root_slots(p: int, y: int, precision: int) -> List[Tuple[SemilocalElement, L
 
     E is the primitive idempotent of (Z/y^N)[X]/(Phi_p) on the completion
     of Psi, so the p-th roots of unity there are zeta^k E (the completion is
-    unramified, as r != p).  Over F_r, e = 1 - Psi(zeta)^{r^d - 1}: Psi is a
-    unit in F_r[X]/(Psi') for Psi' != Psi and zero for Psi' = Psi.  The
-    power is taken as N(Psi(zeta))^{r - 1}, N the orbit product over <r>
+    unramified, as r != p).  One idempotent per prime r is lifted, for the
+    first factor Psi_0.  Over F_r, e = 1 - Psi_0(zeta)^{r^d - 1}: Psi_0 is a
+    unit in F_r[X]/(Psi') for Psi' != Psi_0 and zero for Psi' = Psi_0.  The
+    power is taken as N(Psi_0(zeta))^{r - 1}, N the orbit product over <r>
     (the Frobenius is sigma_r), with no r^d-th power.  The
     integer idempotent M (M^-1 mod r^{aN}), M = y^N / r^{aN}, of Z/y^N
     moves e onto the r-part, and each step E <- 3E^2 - 2E^3 doubles its
-    r-adic precision.  ks lists k = 0..p-1 in the order of X^k mod (r, Psi).
+    r-adic precision.  The Galois group permutes the primes above r
+    (Washington, GTM 83, Ch. 2), and sigma_c moves the prime (r, Psi_0(zeta))
+    to (r, Psi(zeta)) when zeta^{1/c} is a root of Psi in F_r[X]/(Psi_0), where
+    zeta = X; so the other idempotents are sigma_c(E_0), a permutation of
+    coordinates.  ks lists k = 0..p-1 in the order of X^k mod (r, Psi).
     Raises ArithmeticError unless every E is idempotent and they sum to 1.
     """
     modulus = y ** precision
@@ -296,20 +330,21 @@ def root_slots(p: int, y: int, precision: int) -> List[Tuple[SemilocalElement, L
         r_part = r ** (a * precision)
         cofactor = modulus // r_part
         unit = cofactor * pow(cofactor, -1, r_part)
+        base = fact.factors[0]
+        psi_zeta = SemilocalElement(p, r, CycloInt.from_polynomial(p, base).coords)
+        norm = orbit_product(psi_zeta, r % p, fact.residue_degree)
+        e = sl_embed(p, 1, r) - norm ** (r - 1)
+        lifted = SemilocalElement(p, modulus, e.poly).scale(unit)
+        for _ in range((a * precision).bit_length()):
+            sq = lifted * lifted
+            lifted = sq.scale(3) - (sq * lifted).scale(2)
+        base_powers = _x_powers(base, p, r)
         for psi in fact.factors:
-            psi_zeta = SemilocalElement(p, r, CycloInt.from_polynomial(p, psi).coords)
-            norm = orbit_product(psi_zeta, r % p, fact.residue_degree)
-            e = sl_embed(p, 1, r) - norm ** (r - 1)
-            idem = SemilocalElement(p, modulus, e.poly).scale(unit)
-            for _ in range((a * precision).bit_length()):
-                sq = idem * idem
-                idem = sq.scale(3) - (sq * idem).scale(2)
+            k = _root_exponent(psi, base_powers, p, r)
+            idem = lifted.galois(pow(k, -1, p))
             if idem * idem != idem:
                 raise ArithmeticError("factor idempotent did not lift")
-            x_powers = [[1]]
-            for _ in range(p - 1):
-                x_powers.append(_poly_mod([0] + x_powers[-1], psi, r))
-            slots.append((idem, sorted(range(p), key=x_powers.__getitem__)))
+            slots.append((idem, sorted(range(p), key=_x_powers(psi, p, r).__getitem__)))
     if not sl_combination(p, modulus, ((idem.poly, 1) for idem, _ in slots)).is_one():
         raise ArithmeticError("factor idempotents do not sum to 1")
     return slots

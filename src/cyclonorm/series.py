@@ -3,16 +3,18 @@
 For theta = sum n_c sigma_c^{-1} and a denominator prime q (q = p in the main
 case), the series (1 + zeta T)^{theta/q} has coefficients a_m with
 q^{E(m)} a_m integral, E(m) = m + v_q(m!).  Everything is computed through
-the factorial-normalized integral coefficients b_m = q^m m! a_m, which obey
-the convolution rule b_m(t1 + t2) = sum_k C(m,k) b_k(t1) b_{m-k}(t2).  Each
-factor (1 + zeta^{1/c} T)^{n/q} has monomial b_j, so every convolution is a
-sum of rotations by powers of zeta.  Those run on plain integers: zeta -> 2^w
-maps Z[X]/(X^p - 1) onto the residues modulo 2^{pw} - 1, where an element
-is one residue and zeta^r x is a rotation of its pw bits.  The slot width w
-is fixed by the table of (1 - T)^{-|theta|/q}, which bounds every entry
-(see `normalized_coeffs`), so each coefficient is decoded once, at the end.
-The full series, with the conjugate factor divided out, is the plain
-series of (1 - conj) theta.
+the factorial-normalized integral coefficients b_m = q^m m! a_m.  The
+logarithmic derivative of the product of the factors
+(1 + zeta^{1/c} T)^{n_c/q} is a geometric series in T, so the b_m obey
+J. C. P. Miller's recurrence for a power of a power series (Knuth, TAOCP
+vol. 2, 4.7), with integer scalars and one coefficient D_k per k, however
+large the support of theta.  It runs on plain integers: zeta -> 2^w maps
+Z[X]/(X^p - 1) onto the residues modulo 2^{pw} - 1, where an element is one
+residue and a product of two elements is one bigint product and a fold.
+The slot width w is fixed by the table of (1 - T)^{-|theta|/q}, which bounds
+every entry (see `normalized_coeffs`), so each coefficient is decoded once,
+at the end.  The full series, with the conjugate factor divided out, is the
+plain series of (1 - conj) theta.
 
 The formal q-th power identity is checked on its own route, by
 cross-multiplying with the linear-factor polynomials of the finite product;
@@ -75,56 +77,49 @@ def denominator_exponent(m: int, q: int) -> int:
 def normalized_coeffs(theta: GroupRingElement, m_max: int, q: int) -> List[CycloInt]:
     """b_m for (1 + zeta T)^{theta/q}, any integer coefficients on theta.
 
-    The factor (1 + zeta^{1/c} T)^{n/q} has b_j = s_j zeta^{j/c} with
-    s_j = prod_{i<j} (n - i q), so the convolution with it is
-    b_m <- zeta^{m/c} sum_k C(m,k) s_{m-k} (zeta^{-k/c} b_k).
+    The series F = prod_c (1 + zeta^{1/c} T)^{n_c/q} has
+    q F'/F = sum_{k >= 1} D_k T^{k-1}, D_k = (-1)^{k-1} sum_c n_c zeta^{k/c},
+    and m a_m = (1/q) sum_k D_k a_{m-k} (Miller's recurrence) becomes
+    b_m = sum_{k=1..m} q^{k-1} (m-1)!/(m-k)! D_k b_{m-k}: O(m_max^2) ring
+    products with integer scalars, and no division.
 
     It runs in Z/N, N = 2^{pw} - 1, the image of Z[X]/(X^p - 1) under
-    zeta -> 2^w: a vector over 1, zeta, ..., zeta^{p-1} is one residue and
-    zeta^r x is a rotation of its pw bits, so each step is a scalar
-    multiply-add of bigints.  Between factors b_m is held turned by
-    zeta^{-m/c}, which merges the rotation back with the next de-rotation.
+    zeta -> 2^w: a vector over 1, zeta, ..., zeta^{p-1} is one residue, and
+    a ring product is a bigint product reduced mod N.  The identity
+    F' = F (F'/F) holds in Q[X]/(X^p - 1)[[T]], so the recurrence gives the
+    same elements of Z[X]/(X^p - 1) as the product of the factor series.
 
-    The slot width: the same convolution on absolute values gives the table
-    of (1 - T)^{-|theta|/q}, |theta| = sum_c |n_c|, whose m-th entry is the
-    rising factorial prod_{i<m} (|theta| + i q) of step q (Vandermonde).  It
-    bounds the l1 norm of the vector behind b_m and does not decrease in m
+    The slot width: the factor-by-factor convolution on absolute values
+    gives the table of (1 - T)^{-|theta|/q}, |theta| = sum_c |n_c|, whose
+    m-th entry is the rising factorial prod_{i<m} (|theta| + i q) of step q
+    (Vandermonde).  It bounds the l1 norm of the vector behind b_m, which is
+    the same element whichever route computes it, and does not decrease in m
     (theta = 0 leaves b_0 = 1 alone).  So w, two bits more than the bound at
     m_max, holds every entry with a balanced offset of 2^{w-1} per slot, and
     each b_m is decoded once, at the end, then projected onto zeta..zeta^{p-1}.
     """
     p = theta.p
-    norm = sum(abs(theta.coeff(c)) for c in range(1, p))
+    norm = sum(map(abs, theta.coeffs))
     w = max(1, math.prod(range(norm, norm + m_max * q, q))).bit_length() + 2
-    width = p * w
-    mod = (1 << width) - 1
+    mod = (1 << p * w) - 1
+    support = [(pow(c, p - 2, p), n) for c, n in enumerate(theta.coeffs, 1) if n]
 
-    def rotate(x: int, r: int) -> int:         # zeta^r x for a residue 0 <= x <= mod
-        r = r % p * w
-        return ((x << r) & mod) | (x >> (width - r))
-
-    scalars: Dict[int, List[List[int]]] = {}     # n -> rows C(m,k) s_{m-k}, k <= m
-    b = [1] + [0] * m_max          # held as zeta^{-m frame} b_m
-    frame = 0
-    for c in range(1, p):
-        n = theta.coeff(c)
-        if not n:
-            continue
-        if n not in scalars:
-            s = [1]
-            for i in range(m_max):
-                s.append(s[-1] * (n - i * q))
-            scalars[n] = [[math.comb(m, k) * s[m - k] for k in range(m + 1)]
-                          for m in range(m_max + 1)]
-        c_inv = pow(c, p - 2, p)
-        turned = [rotate(bk, k * (frame - c_inv)) for k, bk in enumerate(b)]
-        b = [sum(map(operator.mul, row, turned)) % mod for row in scalars[n]]
-        frame = c_inv
+    d = [0]                        # d[k] = D_k as a residue
+    for k in range(1, m_max + 1):
+        dk = sum(n << k * c_inv % p * w for c_inv, n in support)
+        d.append((dk if k % 2 else -dk) % mod)
+    b = [1]
+    for m in range(1, m_max + 1):
+        acc, scalar = 0, 1         # scalar = q^{k-1} (m-1)!/(m-k)!
+        for k in range(1, m + 1):
+            acc += scalar * d[k] * b[m - k]
+            scalar *= q * (m - k)
+        b.append(acc % mod)
     mask = (1 << w) - 1
     offset = mod // mask << (w - 1)               # 2^{w-1} in every slot
     out = []
-    for m, bm in enumerate(b):
-        x = (rotate(bm, m * frame) + offset) % mod
+    for bm in b:
+        x = (bm + offset) % mod
         slots = [(x >> (i * w) & mask) for i in range(p)]
         out.append(CycloInt(p, tuple(v - slots[0] for v in slots[1:])))
     return out

@@ -11,16 +11,18 @@ prime raises ValueError.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
-from . import linalg
 from .group_ring import (
     GroupRingElement,
     idempotent_mod_p,
     is_prime,
+    primitive_root,
     subgroup_fix_test,
+    subgroups,
 )
 
 
@@ -161,17 +163,35 @@ class BernoulliProfile:
 
 
 def minus_part_rank(p: int) -> int:
-    """Rank over F_p of the span of (1 - conj) sigma_c psi_n for all c, n."""
-    rows = []
+    """Rank over F_p of the span of (1 - conj) sigma_c psi_n for all c, n.
+
+    The span is walked by Krylov subspaces: for each n, the rows
+    sigma_g^i (1 - conj) psi_n, i = 0, 1, ..., for a primitive root g, until
+    the first row already in the running span.  That span is then
+    sigma_g-stable, so no later sigma_g^i adds to it, and sigma_g generates
+    every sigma_c.  Left multiplication by sigma_g is the index map
+    t_d <- t_{dg}, and each row is reduced against an echelon mod p as it
+    comes: at most rank + (p-1)/2 rows of the (p-1)^2/2.
+    """
+    g = primitive_root(p)
+    step = [d * g % p - 1 for d in range(1, p)]
+    echelon: List[Tuple[int, List[int]]] = []      # (pivot, row with pivot entry 1)
     for n in range(1, (p - 1) // 2 + 1):
-        psi = fueter(p, n)
-        for c in range(1, p):
-            elem = GroupRingElement.sigma(p, c) * psi
-            rows.append([(a - b) % p for a, b in zip(elem.coeffs, elem.conjugate().coeffs)])
-    # the HNF of the rows and p*Z^(p-1): every pivot divides p, and the
-    # index p^(p-1-rank) counts the pivots equal to p
-    hnf = linalg.hermite_normal_form(rows, p - 1, det_multiple=p)
-    return sum(hnf[i][i] == 1 for i in range(p - 1))
+        coeffs = fueter(p, n).coeffs
+        row = [(a - b) % p for a, b in zip(coeffs, reversed(coeffs))]
+        while True:
+            v = row
+            for pivot, basis_row in echelon:
+                f = v[pivot]
+                if f:
+                    v = [(x - f * y) % p for x, y in zip(v, basis_row)]
+            pivot = next((i for i, x in enumerate(v) if x), None)
+            if pivot is None:
+                break
+            inv = pow(v[pivot], p - 2, p)
+            echelon.append((pivot, [x * inv % p for x in v]))
+            row = [row[i] for i in step]
+    return len(echelon)
 
 
 def bernoulli_profile(p: int) -> BernoulliProfile:
@@ -213,6 +233,25 @@ def _candidate(elem: GroupRingElement, recipe: str) -> Annihilator:
     return Annihilator(elem, recipe, tuple((o, g) for o, g in subgroup_fix_test(elem) if o > 1))
 
 
+def _search(p: int, quotient: Dict[int, int]
+            ) -> Iterator[Tuple[Tuple[int, ...], Tuple[Tuple[int, int], ...]]]:
+    """(coefficients, nontrivial fixing subgroups) of each quotient-zero
+    sigma_a psi_m + sigma_b psi_n, m <= n, in (m, n, a, b) order."""
+    # moves[a](t) = sigma_a t: its index d - 1 reads index (d a mod p) - 1 of t
+    moves = [None] + [operator.itemgetter(*[d * a % p - 1 for d in range(1, p)])
+                      for a in range(1, p)]
+    proper = [(o, g) for o, g in subgroups(p) if o > 1]
+    half = (p - 1) // 2
+    for m in range(1, half + 1):
+        for n in range(m, half + 1):
+            psi_m, psi_n = fueter(p, m).coeffs, fueter(p, n).coeffs
+            for a in range(1, p):
+                for b in range(1, p):
+                    if (a * quotient[m] + b * quotient[n]) % p == 0:
+                        t = tuple(map(operator.add, moves[a](psi_m), moves[b](psi_n)))
+                        yield t, tuple((o, g) for o, g in proper if moves[g](t) == t)
+
+
 def construct_weight2_annihilator(p: int) -> Annihilator:
     """A positive relative-weight-2 element with vanishing Fermat quotient.
 
@@ -227,6 +266,11 @@ def construct_weight2_annihilator(p: int) -> Annihilator:
     returned, else the norm element, which m = n = 1, b = -a always reaches:
     at 5 the norm element is the only candidate, at 7 the others are fixed
     by the order-3 subgroup.
+
+    The search runs on coefficient tuples: left multiplication by sigma_a is
+    the index map t_d <- t_{da mod p}, and sigma_g fixes t exactly when t is
+    invariant under the index map of g.  Only the candidate returned becomes
+    a group-ring element.
     """
     if p < 5:
         raise ValueError("needs p >= 5")
@@ -244,16 +288,12 @@ def construct_weight2_annihilator(p: int) -> Annihilator:
         if cand.is_unfixed:
             return cand
 
-    fixed: List[Annihilator] = []
-    for m in range(1, half + 1):
-        for n in range(m, half + 1):
-            for a in range(1, p):
-                for b in range(1, p):
-                    if (a * quotient[m] + b * quotient[n]) % p == 0:
-                        cand = _candidate(sigma(a) * fueter(p, m) + sigma(b) * fueter(p, n),
-                                          "search")
-                        if cand.is_unfixed:
-                            return cand
-                        fixed.append(cand)
-    norm = GroupRingElement.norm_element(p)
-    return min(fixed, key=lambda cand: cand.element == norm)
+    norm = (1,) * (p - 1)
+    fallback = None
+    for t, fixed_by in _search(p, quotient):
+        if not fixed_by:
+            return Annihilator(GroupRingElement(p, t), "search", ())
+        if fallback is None or fallback[0] == norm and t != norm:
+            fallback = (t, fixed_by)
+    t, fixed_by = fallback
+    return Annihilator(GroupRingElement(p, t), "search", fixed_by)

@@ -114,6 +114,30 @@ def test_root_slots_pinned(p, y, precision, sha, ks):
         assert [k for _, k in slots] == ks
 
 
+def reference_split_slots(p, r, precision):
+    """Slots at a prime r = 1 mod p from the closed form.  The root c of
+    Phi_p mod r^K that lifts w (its Teichmuller lift w^(r^(K-1))) gives the
+    idempotent E = (1/p) sum_{j<p} c^(-j) zeta^j, which is 1 at zeta -> c and
+    0 at the other roots; on zeta..zeta^(p-1) its coordinates are
+    p^-1 (c^-k - 1).  The slots follow the factors X - w in sorted order,
+    and ks sorts k by w^k mod r."""
+    modulus = r ** precision
+    inv_p = pow(p, -1, modulus)
+    roots = sorted((w for w in range(2, r) if pow(w, p, r) == 1), key=lambda w: -w % r)
+    slots = []
+    for w in roots:
+        c = pow(w, r ** (precision - 1), modulus)
+        coords = tuple(inv_p * (pow(c, -k, modulus) - 1) % modulus for k in range(1, p))
+        slots.append((coords, sorted(range(p), key=lambda k: pow(w, k, r))))
+    return slots
+
+
+@pytest.mark.parametrize("p,r,precision", [(5, 11, 3), (13, 53, 4), (29, 59, 4), (89, 179, 8)])
+def test_split_slots_equal_the_closed_form(p, r, precision):
+    slots = [(e.poly, ks) for e, ks in root_slots(p, r, precision)]
+    assert slots == reference_split_slots(p, r, precision)
+
+
 @pytest.mark.parametrize("p,m", [(5, 11 ** 3), (7, 2 ** 8), (5, 12 ** 3)])
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())

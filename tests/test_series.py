@@ -191,10 +191,14 @@ def test_tables_equal_the_reciprocal_route(p, q_at, coeffs, order, full):
 
 # the rotation loop reaches the primes and orders (to 12) that the reciprocal
 # route cannot finish, where the slot width of the residues is widest
+# full support at p = 43 with entries +-10^6 and order 12: the widest slots
 @settings(max_examples=30, deadline=None)
 @given(p=st.sampled_from([5, 13, 29, 37, 43]), q=st.sampled_from([2, 3, 43]),
        coeffs=st.lists(SMALL_OR_LARGE, min_size=42, max_size=42),
        m_max=st.integers(0, 12))
+@example(p=43, q=2, coeffs=[10 ** 6, -10 ** 6] * 21, m_max=12)
+@example(p=43, q=43, coeffs=[10 ** 6, -10 ** 6] * 21, m_max=12)
+@example(p=43, q=43, coeffs=[-10 ** 6] * 42, m_max=12)
 def test_tables_equal_the_rotation_loop(p, q, coeffs, m_max):
     theta = GroupRingElement(p, tuple(coeffs[:p - 1]))
     assert normalized_coeffs(theta, m_max, q) == reference_rotation_coeffs(theta, m_max, q)

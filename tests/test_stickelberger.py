@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from cyclonorm import linalg
 from cyclonorm.cyclotomic import CycloInt
 from cyclonorm.group_ring import GroupRingElement, subgroup_fix_test, weights
 from cyclonorm.stickelberger import (
+    Annihilator,
     bernoulli_mod_p_kummer,
     bernoulli_mod_p_teichmuller,
     bernoulli_profile,
@@ -148,14 +150,34 @@ def rank_mod_p_reference(rows, p):
     return rank
 
 
-@pytest.mark.parametrize("p", PRIMES)
-def test_minus_part_rank_against_elimination(p):
+def minus_part_rows(p):
+    """Every (1 - conj) sigma_c psi_n mod p, the rows minus_part_rank spans."""
     rows = []
     for n in range(1, (p - 1) // 2 + 1):
         for c in range(1, p):
             elem = GroupRingElement.sigma(p, c) * fueter(p, n)
             rows.append([(a - b) % p for a, b in zip(elem.coeffs, elem.conjugate().coeffs)])
-    assert minus_part_rank(p) == rank_mod_p_reference(rows, p)
+    return rows
+
+
+def reference_hnf_rank(rows, p):
+    """The all-rows route: the HNF of the rows and p*Z^(p-1), whose pivots
+    equal to 1 count the rank mod p."""
+    hnf = linalg.hermite_normal_form(rows, p - 1, det_multiple=p)
+    return sum(hnf[i][i] == 1 for i in range(p - 1))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 37])
+def test_minus_part_rank_against_elimination(p):
+    rows = minus_part_rows(p)
+    assert minus_part_rank(p) == reference_hnf_rank(rows, p) == rank_mod_p_reference(rows, p)
+
+
+# (p - 1)/2 minus the irregularity index: (37, 32), (59, 44), (67, 58) and
+# (101, 68) are the irregular pairs, so each rank is one short of (p - 1)/2
+@pytest.mark.parametrize("p,rank", [(37, 17), (59, 28), (67, 32), (101, 49)])
+def test_minus_part_rank_pinned(p, rank):
+    assert minus_part_rank(p) == rank
 
 
 @st.composite
@@ -232,6 +254,46 @@ ANNIHILATOR_PINS = {
     59: ("double-fueter", (0,) * 14 + (2,) * 5 + (0,) * 10 + (2,) * 10 + (0,) * 5 + (2,) * 14,
          ()),
 }
+
+
+def reference_annihilator(p):
+    """The object route: every candidate built as group-ring products, its
+    stabilizers from subgroup_fix_test, and the fallback chosen by min."""
+    def candidate(elem, recipe):
+        return Annihilator(elem, recipe,
+                           tuple((o, g) for o, g in subgroup_fix_test(elem) if o > 1))
+
+    half = (p - 1) // 2
+    quotient = {n: fermat_quotient(fueter(p, n)) for n in range(1, half + 1)}
+    sigma = functools.partial(GroupRingElement.sigma, p)
+    recipes = [(fueter(p, n).scale(2), "double-fueter")
+               for n in range(1, half + 1) if quotient[n] == 0]
+    a, b = quotient[2], -quotient[1] % p
+    if a and b:
+        recipes.append((sigma(a) * fueter(p, 1) + sigma(b) * fueter(p, 2), "two-term"))
+    for elem, recipe in recipes:
+        cand = candidate(elem, recipe)
+        if cand.is_unfixed:
+            return cand
+    fixed = []
+    for m in range(1, half + 1):
+        for n in range(m, half + 1):
+            for a in range(1, p):
+                for b in range(1, p):
+                    if (a * quotient[m] + b * quotient[n]) % p == 0:
+                        cand = candidate(sigma(a) * fueter(p, m) + sigma(b) * fueter(p, n),
+                                         "search")
+                        if cand.is_unfixed:
+                            return cand
+                        fixed.append(cand)
+    norm = GroupRingElement.norm_element(p)
+    return min(fixed, key=lambda cand: cand.element == norm)
+
+
+@pytest.mark.parametrize("p", [p for p in range(5, 62) if sympy.isprime(p)])
+def test_annihilator_equals_the_object_route(p):
+    ann, ref = construct_weight2_annihilator(p), reference_annihilator(p)
+    assert (ann.element, ann.recipe, ann.fixed_by) == (ref.element, ref.recipe, ref.fixed_by)
 
 
 @pytest.mark.parametrize("p", sorted(ANNIHILATOR_PINS))

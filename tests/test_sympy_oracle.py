@@ -4,7 +4,8 @@ CycloIdeal lattices against sympy's Hermite normal form: sympy's HNF is
 column-style, so the two bases are compared as lattices: each lies in the
 other's span over Z, and both have the same index.  linalg.integer_kernel
 against sympy's nullspace over Q, and its saturation by the gcd of its
-maximal minors.  The package itself never imports sympy."""
+maximal minors.  semilocal.factor_phi against sympy's factorization over
+finite fields.  The package itself never imports sympy."""
 
 import itertools
 import math
@@ -15,9 +16,12 @@ import pytest
 from cyclonorm import lattice, linalg
 from cyclonorm.cyclotomic import CycloIdeal, CycloInt, _linear_root, kappa, uniformizer
 from cyclonorm.harness import RunConfig, cmd_pipeline
+from cyclonorm.semilocal import factor_phi
 
 sympy = pytest.importorskip("sympy")
 from sympy.matrices.normalforms import hermite_normal_form  # noqa: E402
+from sympy.polys.domains import ZZ  # noqa: E402
+from sympy.polys.galoistools import gf_factor_sqf, gf_irred_p_rabin, gf_mul  # noqa: E402
 
 
 def sympy_lattice(g):
@@ -130,3 +134,34 @@ def test_integer_kernel_matches_sympy_on_twisted_systems(monkeypatch, p, x, y, s
     assert len(systems) >= 2
     for rows in systems:
         assert_kernel_matches_sympy([list(r) for r in rows], p - 1)
+
+
+# factor_phi over every odd prime p <= 61 and prime r < 220, r != p: 782 pairs
+PHI_PAIRS = [(p, r) for p in range(3, 62) if sympy.isprime(p)
+             for r in range(2, 220) if sympy.isprime(r) and r != p]
+
+
+def test_factor_phi_is_the_factorization_by_sympy():
+    # sympy's Rabin test finds every factor irreducible, and sympy's product
+    # of the factors is Phi_p; with distinct monic factors in sorted order
+    # that is the unique factorization over F_r
+    assert len(PHI_PAIRS) == 782
+    for p, r in PHI_PAIRS:
+        factors = factor_phi(r, p).factors
+        assert list(factors) == sorted(set(factors))
+        product = [1]
+        for f in factors:
+            dense = [int(c) for c in reversed(f)]      # sympy: leading coefficient first
+            assert dense[0] == 1 and gf_irred_p_rabin(dense, r, ZZ), (p, r, f)
+            product = gf_mul(product, dense, r, ZZ)
+        assert product == [1] * p, (p, r)
+
+
+def test_factor_phi_matches_gf_factor_sqf():
+    # sympy's own factorization, on the primes p <= 23: up to p = 61 it takes
+    # 13 s, beyond the time that the oracle tests may spend
+    for p, r in PHI_PAIRS:
+        if p <= 23:
+            _, theirs = gf_factor_sqf([1] * p, r, ZZ)
+            ours = factor_phi(r, p).factors
+            assert sorted(tuple(int(c) for c in reversed(f)) for f in theirs) == list(ours)
