@@ -8,10 +8,10 @@ evaluation in complex doubles with an a-priori error bound.
 
 A CycloInt coordinate is always a plain int: the ring is Z[zeta], not
 Q(zeta), so there is no inverse, and division by lambda = 1 - zeta is exact
-or refused.  The coordinate kernels below (basis product, Galois
-permutation, rotation by a power of zeta, square-and-multiply) and the
-polynomial Euclid over Z/m serve both CycloInt and the semilocal rings
-Z_y[zeta], which share the basis.
+or refused.  The coordinate kernels below (basis product, rotation by a
+power of zeta, square-and-multiply), group_ring's `convolve` and
+`galois_coords`, and the polynomial Euclid over Z/m serve both CycloInt
+and the semilocal rings Z_y[zeta], which share the basis.
 """
 
 from __future__ import annotations
@@ -23,38 +23,20 @@ import operator
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .group_ring import GroupRingElement, is_prime, prime_power_split, primitive_root
+from .group_ring import (GroupRingElement, convolve, galois_coords, is_prime,
+                         prime_power_split, primitive_root)
 from . import linalg
 
 # -- coordinate kernels on {zeta..zeta^{p-1}} ---------------------------------------
 
 
 def basis_product(p: int, a: Sequence, b: Sequence) -> Tuple:
-    """Coordinates of (sum a_i zeta^i)(sum b_j zeta^j), folding zeta^p = 1 and
-    sum_c zeta^c = -1; the same loop serves integer and residue entries."""
-    acc = [0] * (2 * p)                # indexed by i + j, 2 <= i + j <= 2p - 2
-    for i, ai in enumerate(a, 1):
-        if ai:
-            for j, bj in enumerate(b, i + 1):
-                if bj:
-                    acc[j] += ai * bj
-    const = acc[p]
-    return tuple(acc[c] + acc[c + p] - const for c in range(1, p))
-
-
-def galois_coords(p: int, coords: Sequence, c: int) -> Tuple:
-    """Coordinates of sigma_c (zeta -> zeta^c): entry j moves to c j mod p."""
-    c %= p
-    if c == 0:
-        raise ValueError("Galois index must be prime to p")
-    out = [0] * (p - 1)
-    k = 0
-    for a in coords:
-        k += c
-        if k >= p:
-            k -= p
-        out[k - 1] = a
-    return tuple(out)
+    """Coordinates of (sum a_i zeta^i)(sum b_j zeta^j): `convolve` folded by
+    zeta^p = 1 and sum_c zeta^c = -1, for integer and residue entries."""
+    acc = convolve(a, b)               # acc[k] is the coefficient of zeta^(k + 2)
+    acc.append(0)                      # read as zeta^1 (k = -1) and zeta^(2p - 1)
+    const = acc[p - 2]
+    return tuple(acc[k] + acc[k + p] - const for k in range(-1, p - 2))
 
 
 def zeta_shift(p: int, coords: Sequence, k: int) -> Tuple:
@@ -504,6 +486,10 @@ def _poly_divmod(a: Sequence[int], b: Sequence[int], m: int) -> Tuple[List[int],
 
 def _poly_mod(a, b, m):
     return _poly_divmod(a, b, m)[1]
+
+
+def _poly_mul(a: Sequence[int], b: Sequence[int], m: int) -> List[int]:
+    return _poly_red(convolve(a, b), m)
 
 
 def _poly_gcd(a: Sequence[int], b: Sequence[int], m: int) -> List[int]:

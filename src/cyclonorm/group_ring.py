@@ -1,15 +1,22 @@
-"""Exact arithmetic in Z[G] and F_p[G] for G = (Z/pZ)^x.
+"""Exact arithmetic in Z[G] and F_p[G] for G = (Z/pZ)^x, and the two
+coordinate kernels it shares with Z[zeta] and Z_y[zeta].
 
 Elements are stored as coefficient vectors indexed by c in {1..p-1} with the
 meaning  sum_c n_c * sigma_c^{-1},  where sigma_c: zeta -> zeta^c.  Indexing by
 the inverse automorphism keeps Stickelberger formulas free of inversions; the
 group law on indices is plain multiplication mod p either way.
+
+`convolve` is the one product loop, `galois_coords` the one Galois index map
+(sigma_a t is that of 1/a); by the discrete log c = g^k, Z[G] is the cyclic
+group ring of length p - 1 (Rader, Proc. IEEE 56, 1968) and folds `convolve`.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 
 def is_prime(n: int) -> bool:
@@ -45,6 +52,7 @@ def prime_power_split(y: int) -> List[Tuple[int, int]]:
     return parts
 
 
+@functools.cache
 def primitive_root(p: int) -> int:
     """Smallest positive primitive root mod p."""
     order = p - 1
@@ -53,6 +61,38 @@ def primitive_root(p: int) -> int:
         if all(pow(g, order // q, p) != 1 for q in prime_factors):
             return g
     raise ValueError(f"no primitive root found for {p}")
+
+
+def convolve(a: Sequence, b: Sequence) -> List:
+    """acc[i + j] = sum a_i b_j, skipping zero entries: the one product loop."""
+    acc = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b, i):
+                if bj:
+                    acc[j] += ai * bj
+    return acc
+
+
+@functools.cache
+def galois_map(p: int, c: int) -> Callable[[Sequence], Tuple]:
+    """Index map of sigma_c, c in 1..p-1, on entries 1..p-1: entry j moves to c j."""
+    return operator.itemgetter(*sorted(range(p - 1), key=lambda j: (j + 1) * c % p))
+
+
+def galois_coords(p: int, coords: Sequence, c: int) -> Tuple:
+    """Coordinates of sigma_c (zeta -> zeta^c): entry j moves to c j mod p."""
+    if c % p == 0:
+        raise ValueError("Galois index must be prime to p")
+    return galois_map(p, c % p)(coords)
+
+
+@functools.cache
+def _log_order(p: int) -> Tuple[Callable[[Sequence], Tuple], Callable[[Sequence], Tuple]]:
+    """(to_log, from_log): a vector on c = 1..p-1 read in the order of k, c = g^k, and back."""
+    powers = [pow(primitive_root(p), k, p) for k in range(p - 1)]
+    return (operator.itemgetter(*[c - 1 for c in powers]),
+            operator.itemgetter(*sorted(range(p - 1), key=powers.__getitem__)))
 
 
 @dataclass(frozen=True)
@@ -146,19 +186,17 @@ class GroupRingElement:
         return GroupRingElement(self.p, tuple(n * a for a in self.coeffs), self.modulus)
 
     def __mul__(self, other: "GroupRingElement") -> "GroupRingElement":
-        """Convolution under sigma_a sigma_b = sigma_{ab mod p}."""
+        """Convolution under sigma_a sigma_b = sigma_{ab}: discrete logs add mod p - 1."""
         self._check_compatible(other)
-        p = self.p
-        out = [0] * (p - 1)
-        for c in range(1, p):
-            nc = self.coeffs[c - 1]
-            if nc == 0:
-                continue
-            for d in range(1, p):
-                md = other.coeffs[d - 1]
-                if md:
-                    out[(c * d) % p - 1] += nc * md
-        return GroupRingElement(p, tuple(out), self.modulus)
+        to_log, from_log = _log_order(self.p)
+        acc = convolve(to_log(self.coeffs), to_log(other.coeffs)) + [0]
+        folded = [x + y for x, y in zip(acc, acc[self.p - 1:])]     # k + p - 1 onto k
+        return GroupRingElement(self.p, from_log(folded), self.modulus)
+
+    def galois(self, a: int) -> "GroupRingElement":
+        """sigma_a * self, an index map: n_d <- n_{da mod p}."""
+        return GroupRingElement(self.p, galois_coords(self.p, self.coeffs, pow(a, -1, self.p)),
+                                self.modulus)
 
     def conjugate(self) -> "GroupRingElement":
         """Left multiplication by complex conjugation sigma_{p-1}."""
@@ -205,7 +243,8 @@ def idempotent_mod_p(p: int, k: int) -> GroupRingElement:
     return GroupRingElement.from_inverse_coeffs(p, coeffs, p)
 
 
-def subgroups(p: int) -> List[Tuple[int, int]]:
+@functools.cache
+def subgroups(p: int) -> Tuple[Tuple[int, int], ...]:
     """All subgroups of G as (order, generator index a of sigma_a).
 
     One cyclic subgroup per divisor of p-1, generated by g^{(p-1)/d} for the
@@ -213,14 +252,14 @@ def subgroups(p: int) -> List[Tuple[int, int]]:
     """
     g = primitive_root(p)
     divisors = sorted(d for d in range(1, p) if (p - 1) % d == 0)
-    return [(d, pow(g, (p - 1) // d, p)) for d in divisors]
+    return tuple((d, pow(g, (p - 1) // d, p)) for d in divisors)
+
+
+def fixing_subgroups(p: int, coeffs: Tuple[int, ...]) -> Tuple[Tuple[int, int], ...]:
+    """Subgroups (order, a), (1, 1) first, whose sigma_a's index map keeps `coeffs`."""
+    return tuple((o, g) for o, g in subgroups(p) if galois_map(p, g)(coeffs) == coeffs)
 
 
 def subgroup_fix_test(t: GroupRingElement) -> List[Tuple[int, int]]:
     """Subgroups (order, generator) whose generator fixes t: (sigma-1)t = 0."""
-    fixed = []
-    for order, gen in subgroups(t.p):
-        moved = GroupRingElement.sigma(t.p, gen, t.modulus) * t
-        if moved == t:
-            fixed.append((order, gen))
-    return fixed
+    return list(fixing_subgroups(t.p, t.coeffs))

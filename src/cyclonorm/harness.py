@@ -230,8 +230,7 @@ def cmd_identities(cfg: RunConfig) -> Report:
         if es[k].conjugate() != es[k].scale(pow(p - 1, k, p)).reduce(p):
             twist_ok = False
         for m in (2, p - 1, rng.randrange(1, p)):
-            lhs = GroupRingElement.sigma(p, m, p) * es[k]
-            if lhs != es[k].scale(pow(m, k, p)).reduce(p):
+            if es[k].galois(m) != es[k].scale(pow(m, k, p)).reduce(p):
                 twist_ok = False
     report.add("idempotent-algebra", "orthogonal-idempotents-decompose-unit", idem_ok,
                {"p": p}, {}, arithmetic=f"mod {p}")
@@ -257,7 +256,7 @@ def cmd_identities(cfg: RunConfig) -> Report:
             mod_ok = False
         if k in prof.surviving:
             m = rng.randrange(2, p)
-            if GroupRingElement.sigma(p, m, p) * ek != ek.scale(pow(m, k, p)).reduce(p):
+            if ek.galois(m) != ek.scale(pow(m, k, p)).reduce(p):
                 mod_ok = False
     report.add("modified-idempotent-quotients", "quotient-vanishes-above-first", mod_ok,
                {"p": p}, {}, arithmetic=f"mod {p}")
@@ -274,21 +273,20 @@ def cmd_identities(cfg: RunConfig) -> Report:
             c = rng.randrange(1, p)
             n = rng.randrange(1, (p - 1) // 2 + 1)
             a = rng.randrange(-2, 3)
-            s = GroupRingElement.sigma(p, c)
             base = GroupRingElement.one(p) + GroupRingElement.sigma(p, n) \
                 - GroupRingElement.sigma(p, n + 1)
-            t = t + (s * base).scale(a)
-            theta = theta + (s * fueter(p, n)).scale(a)
+            t = t + base.galois(c).scale(a)
+            theta = theta + fueter(p, n).galois(c).scale(a)
         for order, gen in subgroups(p):
-            nu = GroupRingElement.sigma(p, gen)
-            t_fixed = (nu * t) == t
-            theta_fixed = (nu * theta) == theta
+            moved = t.galois(gen)
+            t_fixed = moved == t
+            theta_fixed = theta.galois(gen) == theta
             if t_fixed and not theta_fixed:
                 forward_ok = False
             if theta_fixed and not t_fixed:
                 converse_failures += 1
                 # the moved difference must be annihilated: Theta_p u = 0
-                u = nu * t - t
+                u = moved - t
                 if not (theta_p(p) * u).is_zero():
                     boundary_ok = False
     report.add("stabilizer-transfer-forward", "invariance-passes-to-annihilator-multiples",

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Tuple, Union
 
 from .cyclotomic import (CycloInt, _cyclotomic_poly, _poly_divmod, _poly_gcd, _poly_mod,
-                         _poly_red, _poly_trim, basis_product, galois_coords, orbit_product,
+                         _poly_mul, _poly_red, basis_product, galois_coords, orbit_product,
                          power, zeta_shift)
 from .group_ring import is_prime, prime_power_split
 
@@ -167,20 +167,6 @@ def y_digits(u: SemilocalElement, digits: int, y: int) -> YDigits:
     return YDigits(u.p, y, tuple(out))
 
 
-# -- polynomial product over Z/m -------------------------------------------------------
-
-
-def _poly_mul(a: Sequence[int], b: Sequence[int], m: int) -> List[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % m
-    return _poly_trim(out)
-
-
 # -- factorization of Phi_p at rational primes ----------------------------------------
 
 
@@ -321,7 +307,8 @@ def root_slots(p: int, y: int, precision: int) -> List[Tuple[SemilocalElement, L
     to (r, Psi(zeta)) when zeta^{1/c} is a root of Psi in F_r[X]/(Psi_0), where
     zeta = X; so the other idempotents are sigma_c(E_0), a permutation of
     coordinates.  ks lists k = 0..p-1 in the order of X^k mod (r, Psi).
-    Raises ArithmeticError unless every E is idempotent and they sum to 1.
+    Raises ArithmeticError unless each lifted E_0 is idempotent (then so is
+    each sigma_c(E_0), sigma_c being a ring map) and all the E sum to 1.
     """
     modulus = y ** precision
     slots = []
@@ -338,13 +325,13 @@ def root_slots(p: int, y: int, precision: int) -> List[Tuple[SemilocalElement, L
         for _ in range((a * precision).bit_length()):
             sq = lifted * lifted
             lifted = sq.scale(3) - (sq * lifted).scale(2)
+        if lifted * lifted != lifted:
+            raise ArithmeticError("factor idempotent did not lift")
         base_powers = _x_powers(base, p, r)
         for psi in fact.factors:
             k = _root_exponent(psi, base_powers, p, r)
-            idem = lifted.galois(pow(k, -1, p))
-            if idem * idem != idem:
-                raise ArithmeticError("factor idempotent did not lift")
-            slots.append((idem, sorted(range(p), key=_x_powers(psi, p, r).__getitem__)))
+            slots.append((lifted.galois(pow(k, -1, p)),
+                          sorted(range(p), key=_x_powers(psi, p, r).__getitem__)))
     if not sl_combination(p, modulus, ((idem.poly, 1) for idem, _ in slots)).is_one():
         raise ArithmeticError("factor idempotents do not sum to 1")
     return slots

@@ -152,11 +152,8 @@ class SeriesTable:
 
     def galois(self, c: int) -> "SeriesTable":
         """Coefficientwise Galois action; equals the table of sigma_c theta."""
-        moved = GroupRingElement.sigma(self.p, c) * self.theta
-        return SeriesTable(
-            self.p, moved, self.order, self.q, self.full,
-            tuple(n.galois(c) for n in self.numerators),
-        )
+        return SeriesTable(self.p, self.theta.galois(c), self.order, self.q, self.full,
+                           tuple(n.galois(c) for n in self.numerators))
 
 
 def binom_coeffs(theta: GroupRingElement, order: int, full: bool = True,
@@ -384,12 +381,13 @@ def equivariance_check(table: SeriesTable, conjugates: Optional[Sequence[int]] =
 
     sigma_c permutes coordinates and the semilocal sum has integer scalars,
     so sigma_c of a summed series is always the sum of the moved table; only
-    the rebuild can fail.
+    the rebuild can fail.  It takes sigma_c theta as a group-ring product, not
+    the permutation of `table.galois`, so the tables are compared whole.
     """
     for c in (conjugates if conjugates is not None else range(1, table.p)):
         recomputed = binom_coeffs(GroupRingElement.sigma(table.p, c) * table.theta,
                                   table.order, table.full, table.q)
-        if recomputed.numerators != table.galois(c).numerators:
+        if recomputed != table.galois(c):
             return False
     return True
 

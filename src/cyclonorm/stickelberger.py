@@ -18,11 +18,11 @@ from typing import Dict, Iterator, List, Tuple
 
 from .group_ring import (
     GroupRingElement,
+    fixing_subgroups,
+    galois_map,
     idempotent_mod_p,
     is_prime,
     primitive_root,
-    subgroup_fix_test,
-    subgroups,
 )
 
 
@@ -173,8 +173,7 @@ def minus_part_rank(p: int) -> int:
     t_d <- t_{dg}, and each row is reduced against an echelon mod p as it
     comes: at most rank + (p-1)/2 rows of the (p-1)^2/2.
     """
-    g = primitive_root(p)
-    step = [d * g % p - 1 for d in range(1, p)]
+    step = galois_map(p, pow(primitive_root(p), -1, p))          # sigma_g t
     echelon: List[Tuple[int, List[int]]] = []      # (pivot, row with pivot entry 1)
     for n in range(1, (p - 1) // 2 + 1):
         coeffs = fueter(p, n).coeffs
@@ -190,7 +189,7 @@ def minus_part_rank(p: int) -> int:
                 break
             inv = pow(v[pivot], p - 2, p)
             echelon.append((pivot, [x * inv % p for x in v]))
-            row = [row[i] for i in step]
+            row = step(row)
     return len(echelon)
 
 
@@ -229,18 +228,12 @@ class Annihilator:
         return not self.fixed_by
 
 
-def _candidate(elem: GroupRingElement, recipe: str) -> Annihilator:
-    return Annihilator(elem, recipe, tuple((o, g) for o, g in subgroup_fix_test(elem) if o > 1))
-
-
 def _search(p: int, quotient: Dict[int, int]
             ) -> Iterator[Tuple[Tuple[int, ...], Tuple[Tuple[int, int], ...]]]:
     """(coefficients, nontrivial fixing subgroups) of each quotient-zero
     sigma_a psi_m + sigma_b psi_n, m <= n, in (m, n, a, b) order."""
-    # moves[a](t) = sigma_a t: its index d - 1 reads index (d a mod p) - 1 of t
-    moves = [None] + [operator.itemgetter(*[d * a % p - 1 for d in range(1, p)])
-                      for a in range(1, p)]
-    proper = [(o, g) for o, g in subgroups(p) if o > 1]
+    # moves[a](t) = sigma_a t, the Galois permutation of 1/a
+    moves = [None] + [galois_map(p, pow(a, -1, p)) for a in range(1, p)]
     half = (p - 1) // 2
     for m in range(1, half + 1):
         for n in range(m, half + 1):
@@ -249,7 +242,7 @@ def _search(p: int, quotient: Dict[int, int]
                 for b in range(1, p):
                     if (a * quotient[m] + b * quotient[n]) % p == 0:
                         t = tuple(map(operator.add, moves[a](psi_m), moves[b](psi_n)))
-                        yield t, tuple((o, g) for o, g in proper if moves[g](t) == t)
+                        yield t, fixing_subgroups(p, t)[1:]
 
 
 def construct_weight2_annihilator(p: int) -> Annihilator:
@@ -267,10 +260,8 @@ def construct_weight2_annihilator(p: int) -> Annihilator:
     at 5 the norm element is the only candidate, at 7 the others are fixed
     by the order-3 subgroup.
 
-    The search runs on coefficient tuples: left multiplication by sigma_a is
-    the index map t_d <- t_{da mod p}, and sigma_g fixes t exactly when t is
-    invariant under the index map of g.  Only the candidate returned becomes
-    a group-ring element.
+    The search runs on coefficient tuples, sigma_a an index map; only the
+    candidate returned becomes a group-ring element.
     """
     if p < 5:
         raise ValueError("needs p >= 5")
@@ -284,7 +275,7 @@ def construct_weight2_annihilator(p: int) -> Annihilator:
     if a and b:
         recipes.append((sigma(a) * fueter(p, 1) + sigma(b) * fueter(p, 2), "two-term"))
     for elem, recipe in recipes:
-        cand = _candidate(elem, recipe)
+        cand = Annihilator(elem, recipe, fixing_subgroups(p, elem.coeffs)[1:])
         if cand.is_unfixed:
             return cand
 

@@ -1,15 +1,20 @@
 """The shared coordinate kernels against the schoolbook loops they replaced.
 
-CycloInt and SemilocalElement both multiply and conjugate, and
-SemilocalElement inverts, through the module-level kernels of `cyclotomic`.
-The references below are the earlier per-class loops: the CycloInt product,
-the semilocal product that reduces mod m at every step, and the Galois
-permutation; and the earlier archimedean evaluation, which raised
-e^{2 pi i c/p} to each power in turn, and the maximum over all p - 1
-conjugates.
+CycloInt, SemilocalElement and GroupRingElement multiply through one loop,
+`group_ring.convolve`, and move by sigma through one index map,
+`group_ring.galois_coords`; `cyclotomic` imports both.  The references
+below are the earlier per-class loops: the CycloInt product, the semilocal
+product that reduces mod m at every step, the Z[G] product indexed by
+c d mod p, the polynomial product over Z/m of `semilocal._poly_mul`, the
+Galois permutation (as a map and as the earlier incremental loop), sigma_a t
+as the product with the element sigma_a (on either side), and the
+fixed-subgroup test by that product; and the earlier archimedean
+evaluation, which raised e^{2 pi i c/p} to each power in turn, and the
+maximum over all p - 1 conjugates.
 """
 
 import contextlib
+import random
 import os
 import pathlib
 import signal
@@ -25,6 +30,7 @@ from hypothesis import given, settings, strategies as st
 import cyclonorm
 from cyclonorm.cyclotomic import (
     CycloInt,
+    _poly_trim,
     basis_product,
     embedding_abs,
     galois_coords,
@@ -33,8 +39,9 @@ from cyclonorm.cyclotomic import (
     uniformizer,
     zeta_shift,
 )
-from cyclonorm.group_ring import GroupRingElement
-from cyclonorm.semilocal import SemilocalElement, sl_embed
+from cyclonorm.group_ring import (GroupRingElement, convolve, fixing_subgroups,
+                                  subgroup_fix_test, subgroups)
+from cyclonorm.semilocal import SemilocalElement, _poly_mul, sl_embed
 
 PRIMES = [3, 5, 7, 11, 13]
 
@@ -287,3 +294,124 @@ def test_max_conjugate_abs_half_scan_matches_full_scan(p, data):
     value, err = max_conjugate_abs(x)
     full_value, full_err = reference_max_conjugate_abs(x)
     assert abs(value - full_value) <= err + full_err
+
+
+# -- Z[G] and the polynomial product through `convolve`, sigma through one map -------
+
+WIDE_PRIMES = PRIMES + [17, 23]
+
+
+def reference_group_ring_mul(p, a, b, modulus=None):
+    out = [0] * (p - 1)
+    for c in range(1, p):
+        nc = a[c - 1]
+        if nc == 0:
+            continue
+        for d in range(1, p):
+            md = b[d - 1]
+            if md:
+                out[(c * d) % p - 1] += nc * md
+    return tuple(out) if modulus is None else tuple(x % modulus for x in out)
+
+
+def reference_galois_coords(p, coords, c):
+    c %= p
+    if c == 0:
+        raise ValueError("Galois index must be prime to p")
+    out = [0] * (p - 1)
+    k = 0
+    for a in coords:
+        k += c
+        if k >= p:
+            k -= p
+        out[k - 1] = a
+    return tuple(out)
+
+
+def reference_poly_mul(a, b, m):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] = (out[i + j] + x * y) % m
+    return _poly_trim(out)
+
+
+def reference_fixing_subgroups(t):
+    """(order, generator) of each subgroup whose sigma fixes t, by the product."""
+    return [(o, g) for o, g in subgroups(t.p)
+            if reference_group_ring_mul(t.p, GroupRingElement.sigma(t.p, g).coeffs,
+                                        t.coeffs, t.modulus) == t.coeffs]
+
+
+def group_ring(p, modulus=None):
+    entry = SCALARS if modulus is None else st.integers(0, modulus - 1)
+    return st.tuples(*([entry] * (p - 1))).map(lambda t: GroupRingElement(p, t, modulus))
+
+
+@pytest.mark.parametrize("p", WIDE_PRIMES)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_products_through_convolve_match_references(p, data):
+    for modulus in (None, p):
+        s, t = data.draw(group_ring(p, modulus)), data.draw(group_ring(p, modulus))
+        assert (s * t).coeffs == reference_group_ring_mul(p, s.coeffs, t.coeffs, modulus)
+    a, b = data.draw(cyclo(p)), data.draw(cyclo(p))
+    assert basis_product(p, a.coords, b.coords) == reference_cyclo_mul(p, a.coords, b.coords)
+    m = data.draw(st.integers(2, 10 ** 9), label="m")
+    polys = st.lists(st.integers(-m, m), max_size=p)
+    f, g = data.draw(polys, label="f"), data.draw(polys, label="g")
+    assert _poly_mul(f, g, m) == reference_poly_mul(f, g, m)
+    assert convolve(f, g) == [sum(f[i] * g[k - i] for i in range(len(f)) if 0 <= k - i < len(g))
+                              for k in range(len(f) + len(g) - 1)]
+
+
+@pytest.mark.parametrize("p", WIDE_PRIMES)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_group_ring_galois_is_the_product_by_sigma(p, data):
+    for modulus in (None, p):
+        t = data.draw(group_ring(p, modulus))
+        for a in range(1, p):
+            sigma = GroupRingElement.sigma(p, a, modulus)
+            moved = t.galois(a)
+            assert moved == sigma * t == t * sigma
+            assert moved.coeffs == reference_group_ring_mul(p, sigma.coeffs, t.coeffs, modulus)
+            assert galois_coords(p, t.coeffs, a) == reference_galois_coords(p, t.coeffs, a)
+        with pytest.raises(ValueError):
+            t.galois(p)
+    x = data.draw(cyclo(p))
+    for c in range(1, p):
+        assert galois_coords(p, x.coords, c) == reference_galois_coords(p, x.coords, c)
+
+
+@pytest.mark.parametrize("p", WIDE_PRIMES)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_group_ring_galois_composes(p, data):
+    t = data.draw(group_ring(p, data.draw(st.sampled_from([None, p]), label="modulus")))
+    a, b = data.draw(st.integers(1, p - 1), label="a"), data.draw(st.integers(1, p - 1), label="b")
+    assert t.galois(b).galois(a) == t.galois(a * b % p)
+    assert t.galois(1) == t and t.galois(p - 1) == t.conjugate()
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23])
+def test_fixing_subgroups_match_the_product_test(p):
+    # random elements, and orbit sums over each subgroup, which it fixes
+    rng = random.Random(p)
+    elements = [GroupRingElement.norm_element(p), GroupRingElement.zero(p)]
+    for _ in range(6):
+        x = GroupRingElement(p, tuple(rng.randrange(-3, 4) for _ in range(p - 1)))
+        elements.append(x)
+        for order, gen in subgroups(p):
+            orbit = GroupRingElement.zero(p)
+            for k in range(order):
+                orbit = orbit + x.galois(pow(gen, k, p))
+            elements += [orbit, orbit.reduce(p)]
+    for t in elements:
+        expected = reference_fixing_subgroups(t)
+        assert subgroup_fix_test(t) == expected
+        assert list(fixing_subgroups(p, t.coeffs)) == expected
+        assert expected[0] == (1, 1)

@@ -4,8 +4,10 @@ CycloIdeal lattices against sympy's Hermite normal form: sympy's HNF is
 column-style, so the two bases are compared as lattices: each lies in the
 other's span over Z, and both have the same index.  linalg.integer_kernel
 against sympy's nullspace over Q, and its saturation by the gcd of its
-maximal minors.  semilocal.factor_phi against sympy's factorization over
-finite fields.  The package itself never imports sympy."""
+maximal minors.  linalg.lll_reduce against sympy's DomainMatrix.lll: the
+same lattice, and both bases LLL-reduced for delta = 3/4 by an exact test
+on linalg.integral_gso data.  semilocal.factor_phi against sympy's
+factorization over finite fields.  The package itself never imports sympy."""
 
 import itertools
 import math
@@ -20,6 +22,7 @@ from cyclonorm.semilocal import factor_phi
 
 sympy = pytest.importorskip("sympy")
 from sympy.matrices.normalforms import hermite_normal_form  # noqa: E402
+from sympy.polys.matrices import DomainMatrix  # noqa: E402
 from sympy.polys.domains import ZZ  # noqa: E402
 from sympy.polys.galoistools import gf_factor_sqf, gf_irred_p_rabin, gf_mul  # noqa: E402
 
@@ -134,6 +137,53 @@ def test_integer_kernel_matches_sympy_on_twisted_systems(monkeypatch, p, x, y, s
     assert len(systems) >= 2
     for rows in systems:
         assert_kernel_matches_sympy([list(r) for r in rows], p - 1)
+
+
+def is_lll_reduced(basis):
+    """Size reduction 2|lam_kj| <= d_(j+1) and the Lovasz test with delta = 3/4,
+    4 (d_(k+1) d_(k-1) + lam_(k,k-1)^2) >= 3 d_k^2, on integral_gso data."""
+    d, lam = linalg.integral_gso(linalg.gram_matrix(basis))
+    return (all(2 * abs(lam[k][j]) <= d[j + 1] for k in range(len(basis)) for j in range(k))
+            and all(4 * (d[k + 1] * d[k - 1] + lam[k][k - 1] ** 2) >= 3 * d[k] ** 2
+                    for k in range(1, len(basis))))
+
+
+def assert_lll_matches_sympy(basis):
+    ours = linalg.lll_reduce(basis)
+    theirs = DomainMatrix(basis, (len(basis), len(basis[0])), ZZ).lll().to_Matrix().tolist()
+    lattice_of = [hermite_normal_form(sympy.Matrix(b).T) for b in (basis, ours, theirs)]
+    assert lattice_of[0] == lattice_of[1] == lattice_of[2]
+    assert is_lll_reduced(ours) and is_lll_reduced([[int(x) for x in r] for r in theirs])
+
+
+def test_lll_reduce_matches_sympy_on_random_bases():
+    rng = random.Random(11)
+    checked = 0
+    while checked < 40:
+        n = rng.randrange(1, 9)
+        basis = [[rng.randrange(-60, 61) for _ in range(n)] for _ in range(rng.randrange(1, n + 1))]
+        if sympy.Matrix(basis).rank() == len(basis):
+            assert_lll_matches_sympy(basis)
+            checked += 1
+
+
+def test_lll_reduce_matches_sympy_on_twisted_kernels(monkeypatch):
+    # the kernels siegel_solve reduces in the twist stage of four pipelines
+    kernels = set()
+    reduce = linalg.lll_reduce
+
+    def recording(rows):
+        kernels.add(tuple(map(tuple, rows)))
+        return reduce(rows)
+
+    monkeypatch.setattr(linalg, "lll_reduce", recording)
+    for p, x, y, seed in [(7, 3, 26, 0), (11, 5, 39, 1861842506), (13, 2, 53, 0),
+                          (19, 2, 39, 0)]:
+        cmd_pipeline(RunConfig("pipeline", p=p, x=x, y=y, seed=seed))
+    monkeypatch.undo()
+    assert any(len(k) > 1 for k in kernels)
+    for kernel in kernels:
+        assert_lll_matches_sympy([list(r) for r in kernel])
 
 
 # factor_phi over every odd prime p <= 61 and prime r < 220, r != p: 782 pairs
