@@ -258,8 +258,3 @@ def subgroups(p: int) -> Tuple[Tuple[int, int], ...]:
 def fixing_subgroups(p: int, coeffs: Tuple[int, ...]) -> Tuple[Tuple[int, int], ...]:
     """Subgroups (order, a), (1, 1) first, whose sigma_a's index map keeps `coeffs`."""
     return tuple((o, g) for o, g in subgroups(p) if galois_map(p, g)(coeffs) == coeffs)
-
-
-def subgroup_fix_test(t: GroupRingElement) -> List[Tuple[int, int]]:
-    """Subgroups (order, generator) whose generator fixes t: (sigma-1)t = 0."""
-    return list(fixing_subgroups(t.p, t.coeffs))

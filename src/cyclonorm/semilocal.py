@@ -4,8 +4,10 @@ Z_y[zeta] at working precision y^N is represented as (Z/y^N)[X]/(Phi_p(X)),
 written in the power basis {zeta..zeta^{p-1}}.  The Galois action is the
 substitution X -> X^c.  The product-of-completions picture lives in the same
 ring: each factor of Phi_p over F_r, r | y, gives an idempotent E, and x E
-is the component of x in that completion.  One E per prime r is lifted from
-F_r to Z/y^N; the Galois action moves it onto the other factors of r.
+is the component of x in that completion.  The Galois group permutes the
+factors of r: one factor is split off over F_r and the others are its
+transports gcd(Phi_p, Psi(X^c)); likewise one E per prime r is lifted from
+F_r to Z/y^N, and sigma_c moves it onto the other factors of r.
 """
 
 from __future__ import annotations
@@ -170,10 +172,10 @@ def y_digits(u: SemilocalElement, digits: int, y: int) -> YDigits:
 # -- factorization of Phi_p at rational primes ----------------------------------------
 
 
-def _equal_degree_split(f: List[int], d: int, r: int, p: int,
-                        rng: random.Random) -> List[List[int]]:
-    """Cantor-Zassenhaus split of a squarefree product f | Phi_p of degree-d
-    irreducibles over F_r.
+def _one_factor(f: List[int], d: int, r: int, p: int, rng: random.Random) -> List[int]:
+    """One monic degree-d factor of a squarefree product f | Phi_p of
+    degree-d irreducibles over F_r, by Cantor-Zassenhaus that keeps the
+    smaller part of each split.
 
     A random a of F_r[zeta] = F_r[X]/(Phi_p) maps to a random residue mod f.
     The Frobenius a -> a^r is sigma_r there, so a^((r^d-1)/2) is the orbit
@@ -181,22 +183,16 @@ def _equal_degree_split(f: List[int], d: int, r: int, p: int,
     and for r = 2 the trace a + a^2 + ... + a^(2^(d-1)) is a sum of d
     conjugates: both need no power of a polynomial mod f.
     """
-    n = len(f) - 1
-    inv = pow(f[-1], -1, r)
-    f = [c * inv % r for c in f]
-    if n == d:
-        return [f]
-    while True:
+    while len(f) - 1 > d:
         a = SemilocalElement(p, r, tuple(rng.randrange(r) for _ in range(p - 1)))
         if r == 2:
             b = sl_combination(p, r, ((galois_coords(p, a.poly, 2 ** k), 1) for k in range(d)))
         else:
             b = orbit_product(a, r % p, d) ** ((r - 1) // 2) - sl_embed(p, 1, r)
         g = _poly_gcd(f, [0] + list(b.poly), r)
-        if 0 < len(g) - 1 < n:
-            q, rem = _poly_divmod(f, g, r)
-            assert not rem
-            return _equal_degree_split(g, d, r, p, rng) + _equal_degree_split(q, d, r, p, rng)
+        if 0 < len(g) - 1 < len(f) - 1:
+            f = min(g, _poly_divmod(f, g, r)[0], key=len)
+    return f
 
 
 @dataclass(frozen=True)
@@ -204,6 +200,7 @@ class LocalFactorization:
     r: int
     p: int
     factors: Tuple[Tuple[int, ...], ...]     # monic, sorted, over F_r
+    transports: Tuple[int, ...]              # c with factors[i] = gcd(Phi_p, Psi_1(X^c))
 
     @property
     def g(self) -> int:
@@ -226,14 +223,18 @@ def multiplicative_order(a: int, n: int) -> int:
 
 
 def factor_phi(r: int, p: int) -> LocalFactorization:
-    """Monic factorization of Phi_p over F_r, factors sorted.
+    """Monic factorization of Phi_p over F_r, factors sorted, with transports.
 
-    g = (p-1)/ord_p(r) distinct factors of degree ord_p(r); the product is
-    checked against Phi_p, and so is their count.  When r = 1 mod p the
-    factors are listed directly as X - w^k, k = 1..p-1, for one w of order
-    p in F_r^x (a power h^((r-1)/p)); otherwise they come from a
-    Cantor-Zassenhaus split.  The factorization is unique, so neither the
-    route nor the random splitting can change the sorted result.
+    g = (p-1)/ord_p(r) distinct factors of degree d = ord_p(r).  One factor
+    Psi_1 is split off: X - w when r = 1 mod p, for one w of order p in
+    F_r^x (a power h^((r-1)/p)), and otherwise by Cantor-Zassenhaus.  The
+    roots of Psi_1 are an orbit of the Frobenius sigma_r, so the roots of
+    Phi_p are their c-th roots for one c per coset of <r> in (Z/p)^x, and
+    the factor of those is Psi_c = gcd(Phi_p, Psi_1(X^c)) (X - w^(1/c) when
+    d = 1).  transports[i] is the c of factors[i], the least of its coset.
+    The product is checked against Phi_p, and so is the count.  The
+    factorization is unique, so neither the route nor the random splitting
+    can change the sorted result.
     """
     if not is_prime(r):
         raise ValueError(f"{r} is not prime")
@@ -241,19 +242,28 @@ def factor_phi(r: int, p: int) -> LocalFactorization:
         raise ValueError("the ramified prime is handled by uniformizer expansions")
     d = multiplicative_order(r, p)
     phi = _poly_red(_cyclotomic_poly(p), r)
+    frobenius = [pow(r, j, p) for j in range(d)]                # <r>, the decomposition group
+    cosets = [c for c in range(1, p) if all(c * h % p >= c for h in frobenius)]
     if d == 1:
         w = next(w for w in (pow(h, (r - 1) // p, r) for h in range(2, r)) if w != 1)
-        factors = sorted([-pow(w, k, r) % r, 1] for k in range(1, p))
+        pairs = [([-pow(w, pow(c, -1, p), r) % r, 1], c) for c in cosets]
     else:
-        factors = sorted(_equal_degree_split(phi, d, r, p, random.Random(f"{r}:{p}")))
+        psi = _one_factor(phi, d, r, p, random.Random(f"{r}:{p}"))
+        pairs = [(psi, 1)]
+        for c in cosets[1:]:
+            composed = [0] * p                     # Psi_1(X^c) mod X^p - 1
+            for i, coef in enumerate(psi):
+                composed[i * c % p] = coef
+            pairs.append((_poly_gcd(phi, composed, r), c))
+    pairs.sort()
     prod = [1]
-    for g in factors:
+    for g, _ in pairs:
         prod = _poly_mul(prod, g, r)
     if prod != phi:
         raise ArithmeticError("factors do not multiply back to the cyclotomic polynomial")
-    if len(factors) != (p - 1) // d:
+    if len(pairs) != (p - 1) // d:
         raise ArithmeticError("wrong number of local factors")
-    return LocalFactorization(r, p, tuple(map(tuple, factors)))
+    return LocalFactorization(r, p, tuple(tuple(g) for g, _ in pairs), tuple(c for _, c in pairs))
 
 
 def _x_powers(psi: Sequence[int], p: int, r: int) -> List[List[int]]:
@@ -262,19 +272,6 @@ def _x_powers(psi: Sequence[int], p: int, r: int) -> List[List[int]]:
     for _ in range(p - 1):
         x_powers.append(_poly_mod([0] + x_powers[-1], psi, r))
     return x_powers
-
-
-def _root_exponent(psi: Sequence[int], powers: Sequence[Sequence[int]], p: int, r: int) -> int:
-    """The least k with psi(X^k) = 0 in F_r[X]/(base), where powers holds
-    X^j mod (r, base): every root of Phi_p there is a power of X."""
-    for k in range(1, p):
-        acc = [0] * (len(psi) - 1)
-        for i, coef in enumerate(psi):
-            for j, v in enumerate(powers[k * i % p]):
-                acc[j] += coef * v
-        if not any(v % r for v in acc):
-            return k
-    raise ArithmeticError("a local factor has no root among the powers of zeta")
 
 
 # -- roots of unity -----------------------------------------------------------------
@@ -296,19 +293,20 @@ def root_slots(p: int, y: int, precision: int) -> List[Tuple[SemilocalElement, L
     E is the primitive idempotent of (Z/y^N)[X]/(Phi_p) on the completion
     of Psi, so the p-th roots of unity there are zeta^k E (the completion is
     unramified, as r != p).  One idempotent per prime r is lifted, for the
-    first factor Psi_0.  Over F_r, e = 1 - Psi_0(zeta)^{r^d - 1}: Psi_0 is a
-    unit in F_r[X]/(Psi') for Psi' != Psi_0 and zero for Psi' = Psi_0.  The
-    power is taken as N(Psi_0(zeta))^{r - 1}, N the orbit product over <r>
-    (the Frobenius is sigma_r), with no r^d-th power.  The
-    integer idempotent M (M^-1 mod r^{aN}), M = y^N / r^{aN}, of Z/y^N
-    moves e onto the r-part, and each step E <- 3E^2 - 2E^3 doubles its
-    r-adic precision.  The Galois group permutes the primes above r
-    (Washington, GTM 83, Ch. 2), and sigma_c moves the prime (r, Psi_0(zeta))
-    to (r, Psi(zeta)) when zeta^{1/c} is a root of Psi in F_r[X]/(Psi_0), where
-    zeta = X; so the other idempotents are sigma_c(E_0), a permutation of
-    coordinates.  ks lists k = 0..p-1 in the order of X^k mod (r, Psi).
-    Raises ArithmeticError unless each lifted E_0 is idempotent (then so is
-    each sigma_c(E_0), sigma_c being a ring map) and all the E sum to 1.
+    factor Psi_1 that factor_phi split off.  Over F_r, e = 1 -
+    Psi_1(zeta)^{r^d - 1}: Psi_1 is a unit in F_r[X]/(Psi') for Psi' !=
+    Psi_1 and zero for Psi' = Psi_1.  The power is taken as
+    N(Psi_1(zeta))^{r - 1}, N the orbit product over <r> (the Frobenius is
+    sigma_r), with no r^d-th power.  The integer idempotent M (M^-1 mod
+    r^{aN}), M = y^N / r^{aN}, of Z/y^N moves e onto the r-part, and each
+    step E <- 3E^2 - 2E^3 doubles its r-adic precision.  The Galois group
+    permutes the primes above r (Washington, GTM 83, Ch. 2): the factor
+    Psi_c = gcd(Phi_p, Psi_1(X^c)) of transport c has for roots the zeta
+    with zeta^c a root of Psi_1, so its idempotent is E_1(X^c) =
+    sigma_c(E_1), a permutation of coordinates.  ks lists k = 0..p-1 in the
+    order of X^k mod (r, Psi).  Raises ArithmeticError unless each lifted
+    E_1 is idempotent (then so is each sigma_c(E_1), sigma_c being a ring
+    map) and all the E sum to 1.
     """
     modulus = y ** precision
     slots = []
@@ -317,7 +315,7 @@ def root_slots(p: int, y: int, precision: int) -> List[Tuple[SemilocalElement, L
         r_part = r ** (a * precision)
         cofactor = modulus // r_part
         unit = cofactor * pow(cofactor, -1, r_part)
-        base = fact.factors[0]
+        base = fact.factors[fact.transports.index(1)]
         psi_zeta = SemilocalElement(p, r, CycloInt.from_polynomial(p, base).coords)
         norm = orbit_product(psi_zeta, r % p, fact.residue_degree)
         e = sl_embed(p, 1, r) - norm ** (r - 1)
@@ -327,11 +325,8 @@ def root_slots(p: int, y: int, precision: int) -> List[Tuple[SemilocalElement, L
             lifted = sq.scale(3) - (sq * lifted).scale(2)
         if lifted * lifted != lifted:
             raise ArithmeticError("factor idempotent did not lift")
-        base_powers = _x_powers(base, p, r)
-        for psi in fact.factors:
-            k = _root_exponent(psi, base_powers, p, r)
-            slots.append((lifted.galois(pow(k, -1, p)),
-                          sorted(range(p), key=_x_powers(psi, p, r).__getitem__)))
+        for psi, c in zip(fact.factors, fact.transports):
+            slots.append((lifted.galois(c), sorted(range(p), key=_x_powers(psi, p, r).__getitem__)))
     if not sl_combination(p, modulus, ((idem.poly, 1) for idem, _ in slots)).is_one():
         raise ArithmeticError("factor idempotents do not sum to 1")
     return slots

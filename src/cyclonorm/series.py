@@ -415,9 +415,6 @@ class DoubleTable:
     def entry(self, n: int, h: int) -> CycloInt:
         return self.entries[(n, h)]
 
-    def pairs(self) -> List[Tuple[int, int]]:
-        return sorted(self.entries.keys(), key=lambda nh: (nh[0] + nh[1], nh[1]))
-
 
 def _digit_rows(table: SeriesTable, rho: SemilocalElement, x: int, y: int,
                 depth: int) -> List[SemilocalElement]:

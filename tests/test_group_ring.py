@@ -5,11 +5,11 @@ from hypothesis import given, settings, strategies as st
 
 from cyclonorm.group_ring import (
     GroupRingElement,
+    fixing_subgroups,
     idempotent_mod_p,
     is_prime,
     prime_power_split,
     primitive_root,
-    subgroup_fix_test,
     subgroups,
     weights,
 )
@@ -90,6 +90,16 @@ def test_idempotent_relations(p):
             assert lhs == es[k].scale(pow(m, k, p)).reduce(p)
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 37])
+def test_character_idempotents_are_pairwise_orthogonal(p):
+    # the identities record checks only e^2 = e and sum e = 1, which force
+    # e_i e_j = 0 in F_p[G] = F_p^(p-1); here every product is formed
+    es = [idempotent_mod_p(p, k) for k in range(p - 1)]
+    for i in range(p - 1):
+        for j in range(i + 1, p - 1):
+            assert GroupRingElement.__mul__(es[i], es[j]).is_zero(), (p, i, j)
+
+
 def test_idempotent_examples():
     e0 = idempotent_mod_p(5, 0)
     assert e0 == GroupRingElement.norm_element(5).scale(4).reduce(5)
@@ -120,13 +130,13 @@ def test_trial_division_factorization():
 
 def test_subgroup_fix_examples():
     norm = GroupRingElement.norm_element(5)
-    assert {o for o, _ in subgroup_fix_test(norm)} == {1, 2, 4}
+    assert {o for o, _ in fixing_subgroups(norm.p, norm.coeffs)} == {1, 2, 4}
 
     psi1 = GroupRingElement.sigma(5, 2) + GroupRingElement.sigma(5, 4)
-    assert [o for o, _ in subgroup_fix_test(psi1)] == [1]
+    assert [o for o, _ in fixing_subgroups(psi1.p, psi1.coeffs)] == [1]
 
     psi1_7 = GroupRingElement.from_inverse_coeffs(7, {4: 1, 5: 1, 6: 1})
-    assert [o for o, _ in subgroup_fix_test(psi1_7)] == [1]
+    assert [o for o, _ in fixing_subgroups(psi1_7.p, psi1_7.coeffs)] == [1]
 
 
 def test_modulus_mismatch_rejected():

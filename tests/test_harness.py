@@ -8,7 +8,7 @@ import pytest
 from cyclonorm import cli, harness
 from cyclonorm.harness import RunConfig, cmd_identities, cmd_pipeline, cmd_search, write_report
 from cyclonorm.cli import main
-from cyclonorm.group_ring import GroupRingElement
+from cyclonorm.group_ring import GroupRingElement, idempotent_mod_p
 
 
 def test_config_validation():
@@ -53,6 +53,10 @@ REPORT_PINS = {
         "10294dd0ebfc8c69eaafdcc5da5e3bf33b1b9d8000394d987f979817bb70ac39",
     ("identities", 37, None, None):
         "c22818f8ef831fd0e99c3d3951901bf06b17fbd9c8c56a3dac4e0f5df3999618",
+    # large p: recorded when the idempotent record still formed every e_i e_j
+    # and factor_phi split Phi_p fully
+    ("identities", 61, None, None):
+        "89754e8b62834fe30aec288d15a85a254bcb5afea75c15b91fe66e32bd4c8750",
     ("pipeline", 5, 3, 22):
         "aefa0fca4cb0da3a73472ed21c32455e5e3495e3e881abbf42aef7cf54b3d163",
     # twist-selection fails here: each twist's least kernel vector pairs to 0
@@ -391,6 +395,47 @@ def test_report_json_schema(tmp_path):
                             "arithmetic", "note"}
         assert rec["status"] in {"pass", "fail", "waived"}
     assert tree["summary"]["fail"] == 0
+
+
+@pytest.mark.parametrize("p", [3, 103])
+def test_identities_refuses_primes_outside_its_range(monkeypatch, capsys, p):
+    # refused before the first record, with a message that names the range
+    def no_records(*args):
+        raise AssertionError("a record ran outside the suite's range")
+
+    monkeypatch.setattr(harness, "inverse_uniformizer_numerator", no_records)
+    assert main(["identities", "--p", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"invalid input: the identity suite runs at primes 5 <= p <= 101, " \
+                           f"not p = {p}\n"
+    assert captured.out == ""
+
+
+def _broken_idempotence(p, k):
+    # 2 e_0 and e_1 - e_0: the sum is still 1, but 2 e_0 is not idempotent
+    e = idempotent_mod_p(p, k)
+    if k == 0:
+        return e.scale(2).reduce(p)
+    return (e - idempotent_mod_p(p, 0)).reduce(p) if k == 1 else e
+
+
+def _broken_sum(p, k):
+    # 0 in place of e_0: every element is idempotent, and the sum is 1 - e_0
+    return GroupRingElement.zero(p, p) if k == 0 else idempotent_mod_p(p, k)
+
+
+def _idempotent_status(p):
+    records = cmd_identities(RunConfig("identities", p=p)).records
+    return next(r.status for r in records if r.name == "idempotent-algebra")
+
+
+@pytest.mark.parametrize("broken", [_broken_idempotence, _broken_sum])
+@pytest.mark.parametrize("p", [5, 7])
+def test_idempotent_record_can_fail(monkeypatch, broken, p):
+    # the record keeps e^2 = e and sum e = 1, and each can still fail
+    assert _idempotent_status(p) == "pass"
+    monkeypatch.setattr(harness, "idempotent_mod_p", broken)
+    assert _idempotent_status(p) == "fail"
 
 
 def test_cli_exit_codes(tmp_path):

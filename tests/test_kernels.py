@@ -10,7 +10,8 @@ Galois permutation (as a map and as the earlier incremental loop), sigma_a t
 as the product with the element sigma_a (on either side), and the
 fixed-subgroup test by that product; and the earlier archimedean
 evaluation, which raised e^{2 pi i c/p} to each power in turn, and the
-maximum over all p - 1 conjugates.
+maximum over all p - 1 conjugates; and the root-exponent search that placed
+each local factor of Phi_p before `factor_phi` listed its Galois transport.
 """
 
 import contextlib
@@ -30,6 +31,9 @@ from hypothesis import given, settings, strategies as st
 import cyclonorm
 from cyclonorm.cyclotomic import (
     CycloInt,
+    _cyclotomic_poly,
+    _poly_gcd,
+    _poly_red,
     _poly_trim,
     basis_product,
     embedding_abs,
@@ -39,9 +43,9 @@ from cyclonorm.cyclotomic import (
     uniformizer,
     zeta_shift,
 )
-from cyclonorm.group_ring import (GroupRingElement, convolve, fixing_subgroups,
-                                  subgroup_fix_test, subgroups)
-from cyclonorm.semilocal import SemilocalElement, _poly_mul, sl_embed
+from cyclonorm.group_ring import (GroupRingElement, convolve, fixing_subgroups, is_prime,
+                                  subgroups)
+from cyclonorm.semilocal import SemilocalElement, _poly_mul, _x_powers, factor_phi, sl_embed
 
 PRIMES = [3, 5, 7, 11, 13]
 
@@ -412,6 +416,41 @@ def test_fixing_subgroups_match_the_product_test(p):
             elements += [orbit, orbit.reduce(p)]
     for t in elements:
         expected = reference_fixing_subgroups(t)
-        assert subgroup_fix_test(t) == expected
         assert list(fixing_subgroups(p, t.coeffs)) == expected
         assert expected[0] == (1, 1)
+
+
+def reference_root_exponent(psi, powers, p, r):
+    """The least k with psi(X^k) = 0 in F_r[X]/(base), where powers holds
+    X^j mod (r, base): every root of Phi_p there is a power of X."""
+    for k in range(1, p):
+        acc = [0] * (len(psi) - 1)
+        for i, coef in enumerate(psi):
+            for j, v in enumerate(powers[k * i % p]):
+                acc[j] += coef * v
+        if not any(v % r for v in acc):
+            return k
+    raise ArithmeticError("a local factor has no root among the powers of zeta")
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23])
+def test_factor_phi_transports(p):
+    # one c per coset of <r>, c = 1 among them; Psi_c = gcd(Phi_p, Psi_1(X^c))
+    # with X^c not reduced mod X^p - 1; and the root exponent k of Psi_c in
+    # F_r[X]/(Psi_1), found by search, has k c in <r>
+    for r in range(2, 220):
+        if not is_prime(r) or r == p:
+            continue
+        fact = factor_phi(r, p)
+        frobenius = {pow(r, j, p) for j in range(fact.residue_degree)}
+        cosets = {frozenset(c * h % p for h in frobenius) for c in fact.transports}
+        assert 1 in fact.transports and len(cosets) == len(fact.transports) == fact.g
+        assert set().union(*cosets) == set(range(1, p))
+        base = fact.factors[fact.transports.index(1)]
+        phi, powers = _poly_red(_cyclotomic_poly(p), r), _x_powers(base, p, r)
+        for psi, c in zip(fact.factors, fact.transports):
+            composed = [0] * (c * (len(base) - 1) + 1)
+            for i, coef in enumerate(base):
+                composed[c * i] = coef
+            assert tuple(_poly_gcd(phi, composed, r)) == psi, (p, r, c)
+            assert reference_root_exponent(psi, powers, p, r) * c % p in frobenius, (p, r, c)

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from cyclonorm import linalg
 
 from cyclonorm.cyclotomic import CycloInt
-from cyclonorm.group_ring import GroupRingElement, subgroup_fix_test, weights
+from cyclonorm.group_ring import GroupRingElement, fixing_subgroups, weights
 from cyclonorm.stickelberger import (
     Annihilator,
     bernoulli_mod_p_kummer,
@@ -240,7 +240,7 @@ def test_annihilator_across_primes():
         assert weights(ann.element).relative == 2
         assert weights(ann.element).nonnegative
         assert fermat_quotient(ann.element) == 0
-        assert all(o == 1 for o, _ in subgroup_fix_test(ann.element))
+        assert all(o == 1 for o, _ in fixing_subgroups(p, ann.element.coeffs))
 
 
 # (recipe, coefficients, fixed_by) of each branch, recorded from the search
@@ -258,10 +258,10 @@ ANNIHILATOR_PINS = {
 
 def reference_annihilator(p):
     """The object route: every candidate built as group-ring products, its
-    stabilizers from subgroup_fix_test, and the fallback chosen by min."""
+    stabilizers from fixing_subgroups, and the fallback chosen by min."""
     def candidate(elem, recipe):
         return Annihilator(elem, recipe,
-                           tuple((o, g) for o, g in subgroup_fix_test(elem) if o > 1))
+                           tuple((o, g) for o, g in fixing_subgroups(p, elem.coeffs) if o > 1))
 
     half = (p - 1) // 2
     quotient = {n: fermat_quotient(fueter(p, n)) for n in range(1, half + 1)}
@@ -310,7 +310,7 @@ def test_stabilizer_finding_second_generator_p7():
     """
     p = 7
     psi2 = fueter(p, 2)
-    fixed = subgroup_fix_test(psi2)
+    fixed = fixing_subgroups(p, psi2.coeffs)
     assert (3, 2) in fixed
     # the cofactor 1 + sigma_2 - sigma_3 is NOT fixed by sigma_2 ...
     t = GroupRingElement.one(7) + GroupRingElement.sigma(7, 2) - GroupRingElement.sigma(7, 3)
