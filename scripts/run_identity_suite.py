@@ -3,7 +3,7 @@
 
 Prints one line per prime with its record counts, wall time and the
 SHA-256 of the report JSON (the bytes written to identities_p<p>.json);
-p = 101 takes about 6-7 s on a shared 2-vCPU host (Python 3.11).
+p = 101 takes about 5-6 s on a shared 2-vCPU host (Python 3.11).
 
 Usage: python scripts/run_identity_suite.py [outdir]
 """

@@ -332,16 +332,14 @@ def residue_mod_uniformizer(x: CycloInt) -> int:
     return sum(x.coords) % x.p
 
 
-def lambda_valuation(x: CycloInt, cap: int = 10_000) -> int:
-    """v_lambda(x) for integral nonzero x."""
+def lambda_valuation(x: CycloInt) -> int:
+    """v_lambda(x) for nonzero x."""
     if x.is_zero():
         raise ValueError("valuation of zero")
     v = 0
     while residue_mod_uniformizer(x) == 0:
         x = divide_by_uniformizer(x)
         v += 1
-        if v > cap:
-            raise RuntimeError("valuation cap exceeded")
     return v
 
 
@@ -385,10 +383,15 @@ def lambda_expand(w: CycloInt, digits: int) -> LambdaExpansion:
 
 
 def congruent_mod_uniformizer_power(a: CycloInt, b: CycloInt, k: int) -> bool:
+    """a = b mod lambda^k, by at most k divisions of a - b by lambda."""
     d = a - b
     if d.is_zero():
         return True
-    return lambda_valuation(d) >= k
+    for _ in range(k):
+        if residue_mod_uniformizer(d):
+            return False
+        d = divide_by_uniformizer(d)
+    return True
 
 
 def congruent_mod_rational(a: CycloInt, b: CycloInt, m: int) -> bool:
@@ -511,14 +514,6 @@ def _cyclotomic_poly(p: int) -> List[int]:
 # -- ideals in Hermite normal form -----------------------------------------------------
 
 
-def _hnf_norm(hnf: Sequence[Sequence[int]]) -> int:
-    """Index of a full-rank lattice in Z^n: the product of its HNF pivots."""
-    n = 1
-    for i, row in enumerate(hnf):
-        n *= row[i]
-    return n
-
-
 def _linear_root(g: CycloInt, n: int) -> Optional[int]:
     """c with gcd(Phi_p, g) = X - c over Z/n, g read as sum_e g_e X^e; None
     when Euclid meets a leading coefficient that is not a unit mod n, or when
@@ -532,7 +527,8 @@ def _linear_root(g: CycloInt, n: int) -> Optional[int]:
 
 @dataclass(frozen=True, eq=False)
 class CycloIdeal:
-    """Nonzero ideal of Z[zeta] as the HNF basis of its coordinate lattice.
+    """Nonzero ideal of Z[zeta]: the HNF basis of its coordinate lattice and
+    the generators it was built from.
 
     Two routes build the HNF.  An ideal with Z[zeta]/I = Z/n is the kernel of
     zeta -> c mod n for one root c of Phi_p mod n (Kummer-Dedekind), so its
@@ -540,14 +536,19 @@ class CycloIdeal:
     linear factor X - c with Phi_p mod |N(g)|, and a product of two such
     ideals with coprime norms, whose roots join by CRT.  Every other ideal
     takes the generic HNF of its generators' zeta-multiples.
+
+    `gens` are the nonzero generators given to `from_generators`, and for a
+    product the distinct pairwise products of the factors' gens, which
+    generate it.  Equality and hashing read the HNF only, which is canonical.
     """
 
     p: int
     hnf: Tuple[Tuple[int, ...], ...]
+    gens: Tuple[CycloInt, ...]
 
     @classmethod
     def from_generators(cls, gens: Sequence[CycloInt]) -> "CycloIdeal":
-        gens = [g for g in gens if not g.is_zero()]
+        gens = tuple(g for g in gens if not g.is_zero())
         if not gens:
             raise ValueError("the zero ideal is not supported")
         p = gens[0].p
@@ -555,12 +556,12 @@ class CycloIdeal:
         if len(gens) == 1:
             c = _linear_root(gens[0], bound)
             if c is not None:
-                return cls._kernel_at_root(p, bound, c, gens[0])
+                return cls._kernel_at_root(p, bound, c, gens)
         rows = []
         for g in gens:
             rows.extend(zeta_shift(p, g.coords, k) for k in range(p - 1))
         hnf = linalg.hermite_normal_form(rows, p - 1, det_multiple=bound)
-        ideal = cls(p, tuple(tuple(r) for r in hnf))
+        ideal = cls(p, tuple(tuple(r) for r in hnf), gens)
         ideal._verify_zeta_stable()
         return ideal
 
@@ -570,28 +571,31 @@ class CycloIdeal:
 
     @classmethod
     def _kernel_at_root(cls, p: int, n: int, c: int,
-                        g: Optional[CycloInt] = None) -> "CycloIdeal":
-        """The kernel of Z[zeta] -> Z/n, zeta -> c, written in HNF: the row of
-        zeta^j (j < p - 1) is zeta^j - c^(j+1) zeta^(p-1) mod n, which maps to
-        c^j (1 - c^p) = 0, and the last row is n zeta^(p-1).
+                        gens: Tuple[CycloInt, ...]) -> "CycloIdeal":
+        """The ideal generated by `gens` as the kernel of Z[zeta] -> Z/n,
+        zeta -> c, written in HNF: the row of zeta^j (j < p - 1) is
+        zeta^j - c^(j+1) zeta^(p-1) mod n, which maps to c^j (1 - c^p) = 0,
+        and the last row is n zeta^(p-1).
 
         Certificate: Phi_p(c) = 0 mod n makes zeta -> c a ring map onto Z/n,
         whose kernel has index n; the rows lie in it and span a lattice of
-        index n, so they span the kernel.  For a principal ideal (g), with
-        n = |N(g)|: g(c) = 0 mod n puts g in the kernel, and (g) has index n
-        too, so the two are equal.  A failed check raises AssertionError.
+        index n, so they span the kernel.  Each generator must vanish at c
+        mod n, which puts the ideal they generate in the kernel; that ideal
+        has index n too (n = |N(g)| for (g), n1 n2 for a coprime product),
+        so the two are equal.  A failed check raises AssertionError.
         """
         powers = [1]
         for _ in range(p - 1):
             powers.append(powers[-1] * c % n)
         if sum(powers) % n:
             raise AssertionError(f"{c} is not a root of Phi_{p} mod {n}")
-        if g is not None and sum(map(operator.mul, g.coords, powers[1:])) % n:
-            raise AssertionError(f"the generator does not vanish at {c} mod {n}")
+        for g in gens:
+            if sum(map(operator.mul, g.coords, powers[1:])) % n:
+                raise AssertionError(f"a generator does not vanish at {c} mod {n}")
         rows = [tuple(1 if k == j else 0 for k in range(p - 2)) + (-powers[j + 2] % n,)
                 for j in range(p - 2)]
         rows.append((0,) * (p - 2) + (n,))
-        return cls(p, tuple(rows))
+        return cls(p, tuple(rows), gens)
 
     def _cyclic_root(self) -> Optional[Tuple[int, int]]:
         """(n, c) when the HNF pivots are 1, ..., 1, n, so that Z[zeta]/I = Z/n
@@ -610,51 +614,30 @@ class CycloIdeal:
     def basis_elements(self) -> List[CycloInt]:
         return [kappa_inv(self.p, row) for row in self.hnf]
 
-    def generators(self) -> List[CycloInt]:
-        """A short list of ideal generators: the norm n, then each HNF row
-        that the ideal generated so far does not contain.
-
-        The ideal generated so far is kept in HNF mod n (n lies in it), and
-        a new row enters with its p - 1 zeta-multiples, so each update is an
-        HNF of 2(p - 1) rows.  The list stops once that ideal has norm n,
-        i.e. equals this one; usually that takes one or two rows.
-        """
-        p, n = self.p, self.norm()
-        gens = [CycloInt.from_rational(p, n)]
-        span = [[n if i == j else 0 for j in range(p - 1)] for i in range(p - 1)]
-        for row in self.hnf:
-            if _hnf_norm(span) == n:
-                break
-            if linalg.hnf_contains(span, row):
-                continue
-            gens.append(kappa_inv(p, row))
-            span = linalg.hermite_normal_form(
-                span + [zeta_shift(p, row, k) for k in range(p - 1)], p - 1, det_multiple=n)
-        return gens
-
     def __mul__(self, other: "CycloIdeal") -> "CycloIdeal":
         if self.p != other.p:
             raise ValueError("mismatched primes")
+        gens = tuple(dict.fromkeys(a * b for a in self.gens for b in other.gens))
         # coprime norms make the factors comaximal, so the product is their
         # intersection: the kernel at the root that is c1 mod n1 and c2 mod n2
         mine, theirs = self._cyclic_root(), other._cyclic_root()
         if mine and theirs and math.gcd(mine[0], theirs[0]) == 1:
             (n1, c1), (n2, c2) = mine, theirs
             c = c1 + n1 * ((c2 - c1) * pow(n1, -1, n2) % n2)
-            return CycloIdeal._kernel_at_root(self.p, n1 * n2, c)
+            return CycloIdeal._kernel_at_root(self.p, n1 * n2, c, gens)
         # the Z-basis of self times ideal generators of other spans the
         # product lattice, so no further closure under zeta is needed; the
         # norm product times the standard lattice sits inside the product ideal
         rows = []
         basis = self.basis_elements()
-        for g in other.generators():
+        for g in other.gens:
             if g.is_rational():
                 rows.extend(a.scale(g.as_rational()).coords for a in basis)
             else:
                 rows.extend((a * g).coords for a in basis)
         hnf = linalg.hermite_normal_form(rows, self.p - 1,
                                          det_multiple=self.norm() * other.norm())
-        out = CycloIdeal(self.p, tuple(tuple(r) for r in hnf))
+        out = CycloIdeal(self.p, tuple(tuple(r) for r in hnf), gens)
         out._verify_zeta_stable()
         return out
 
@@ -664,7 +647,8 @@ class CycloIdeal:
         return power(self, n, None)
 
     def norm(self) -> int:
-        return _hnf_norm(self.hnf)
+        """Index of the lattice in Z^(p-1): the product of its HNF pivots."""
+        return math.prod(row[i] for i, row in enumerate(self.hnf))
 
     def contains(self, x: CycloInt) -> bool:
         return linalg.hnf_contains(self.hnf, x.coords)

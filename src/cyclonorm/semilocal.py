@@ -232,9 +232,10 @@ def factor_phi(r: int, p: int) -> LocalFactorization:
     Phi_p are their c-th roots for one c per coset of <r> in (Z/p)^x, and
     the factor of those is Psi_c = gcd(Phi_p, Psi_1(X^c)) (X - w^(1/c) when
     d = 1).  transports[i] is the c of factors[i], the least of its coset.
-    The product is checked against Phi_p, and so is the count.  The
-    factorization is unique, so neither the route nor the random splitting
-    can change the sorted result.
+    The product is checked against Phi_p and each degree against d: every
+    irreducible factor of Phi_p has degree d, so together the two checks
+    make each entry one of them.  The factorization is unique, so neither
+    the route nor the random splitting can change the sorted result.
     """
     if not is_prime(r):
         raise ValueError(f"{r} is not prime")
@@ -261,8 +262,8 @@ def factor_phi(r: int, p: int) -> LocalFactorization:
         prod = _poly_mul(prod, g, r)
     if prod != phi:
         raise ArithmeticError("factors do not multiply back to the cyclotomic polynomial")
-    if len(pairs) != (p - 1) // d:
-        raise ArithmeticError("wrong number of local factors")
+    if any(len(g) != d + 1 for g, _ in pairs):
+        raise ArithmeticError(f"a local factor does not have degree {d}")
     return LocalFactorization(r, p, tuple(tuple(g) for g, _ in pairs), tuple(c for _, c in pairs))
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from cyclonorm.cyclotomic import (
     _linear_root,
     _poly_gcd,
     characteristic_data,
+    congruent_mod_uniformizer_power,
     divide_by_uniformizer,
     equation_value,
     embedding_abs,
@@ -144,6 +146,19 @@ def test_lambda_expand_roundtrip(p, data):
         assert lambda_valuation(diff) >= 6
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_congruence_mod_lambda_power_matches_the_valuation(p, data):
+    # b = a + lambda^j x, so a - b has valuation j + v(x) (or is 0)
+    a, x = data.draw(cyclo(p, -20, 20), label="a"), data.draw(cyclo(p, -20, 20), label="x")
+    j, k = data.draw(st.integers(0, 8), label="j"), data.draw(st.integers(0, 12), label="k")
+    b = a + uniformizer(p) ** j * x
+    d = a - b
+    assert congruent_mod_uniformizer_power(a, b, k) == \
+        (d.is_zero() or lambda_valuation(d) >= k)
+
+
 @pytest.mark.parametrize("p", PRIMES)
 def test_kappa_identities(p):
     rng = random.Random(p)
@@ -246,9 +261,10 @@ def test_ideal_examples():
 
 def reference_ideal_mul(a, b):
     """The product from all (p-1)^2 products of the two Z-bases."""
-    rows = [kappa(x * y) for x in a.basis_elements() for y in b.basis_elements()]
-    hnf = linalg.hermite_normal_form(rows, a.p - 1, det_multiple=a.norm() * b.norm())
-    return CycloIdeal(a.p, tuple(tuple(r) for r in hnf))
+    gens = tuple(x * y for x in a.basis_elements() for y in b.basis_elements())
+    hnf = linalg.hermite_normal_form([kappa(g) for g in gens], a.p - 1,
+                                     det_multiple=a.norm() * b.norm())
+    return CycloIdeal(a.p, tuple(tuple(r) for r in hnf), gens)
 
 
 def ideals(p):
@@ -272,30 +288,34 @@ def ideals(p):
 @given(data=st.data())
 def test_ideal_product_matches_full_basis_product(p, data):
     a, b = data.draw(ideals(p), label="a"), data.draw(ideals(p), label="b")
-    assert a * b == reference_ideal_mul(a, b)
-    for ideal in (a, b):
-        gens = ideal.generators()
-        assert gens[0] == CycloInt.from_rational(p, ideal.norm())
-        assert all(ideal.contains(g) for g in gens)
-        assert CycloIdeal.from_generators(gens) == ideal
+    product = a * b
+    assert product == reference_ideal_mul(a, b)
+    # the stored generators lie in the ideal and generate all of it
+    for ideal in (a, b, product):
+        assert all(ideal.contains(g) for g in ideal.gens)
+        assert CycloIdeal.from_generators(ideal.gens) == ideal
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 def test_lambda_powers_have_two_generators(p):
-    lam = CycloIdeal.principal(uniformizer(p))
+    # (lambda)^k stores the one generator lambda^k; with the norm p^k, which
+    # lies in it, the two generate it as well
+    lam = uniformizer(p)
     for k in range(1, p + 1):
-        ideal = lam ** k
-        gens = ideal.generators()
-        assert len(gens) == 2 and CycloIdeal.from_generators(gens) == ideal
+        ideal = CycloIdeal.principal(lam) ** k
+        assert ideal.gens == (lam ** k,)
+        norm = CycloInt.from_rational(p, ideal.norm())
+        assert CycloIdeal.from_generators([norm, lam ** k]) == ideal
 
 
 @pytest.mark.parametrize("p,alpha,n", [(5, (-3, -2, -3, 0), 11), (7, (3, 2, -2, -3, 1, 1), 42)])
 def test_generators_take_a_third_row_when_two_fall_short(p, alpha, n):
-    ideal = CycloIdeal.from_generators([CycloInt(p, alpha), CycloInt.from_rational(p, n)]) ** 2
-    gens = ideal.generators()
-    assert len(gens) == 3
-    assert CycloIdeal.from_generators(gens[:2]) != ideal
-    assert CycloIdeal.from_generators(gens) == ideal
+    # squares whose short generator set, once read back from the HNF, took a
+    # third row; the stored set is the three distinct monomials of (alpha, n)^2
+    a, m = CycloInt(p, alpha), CycloInt.from_rational(p, n)
+    ideal = CycloIdeal.from_generators([a, m]) ** 2
+    assert ideal.gens == (a * a, a * m, m * m)
+    assert CycloIdeal.from_generators(ideal.gens) == ideal
     assert ideal * ideal == reference_ideal_mul(ideal, ideal)
 
 
@@ -374,14 +394,30 @@ def test_crt_product_of_coprime_cyclic_ideals():
 def test_wrong_root_fails_the_certificate():
     p, g = 5, CycloInt(5, (-2, -3, 0, -3))
     c = _linear_root(g, 31)
-    assert CycloIdeal._kernel_at_root(p, 31, c, g) == CycloIdeal.principal(g)
+    assert CycloIdeal._kernel_at_root(p, 31, c, (g,)) == CycloIdeal.principal(g)
     # c + 1 is no root of Phi_5 mod 31; c^2 is, but g does not vanish there
     for wrong in (c + 1, c * c % 31):
         with pytest.raises(AssertionError):
-            CycloIdeal._kernel_at_root(p, 31, wrong, g)
-    # without a generator, as for a CRT product, Phi_5(c + 1) alone fails
-    with pytest.raises(AssertionError):
-        CycloIdeal._kernel_at_root(p, 31, c + 1)
+            CycloIdeal._kernel_at_root(p, 31, wrong, (g,))
+    # Phi_5(c + 1) alone fails, before any generator is read
+    with pytest.raises(AssertionError, match="not a root"):
+        CycloIdeal._kernel_at_root(p, 31, c + 1, ())
+
+
+def test_crt_product_checks_every_generator():
+    # (a) (lambda) = kernel at c = 16 mod 155; a lambda vanishes there, a does
+    # not (it is a unit at lambda)
+    p = 5
+    a, lam = CycloInt(p, (-2, -3, 0, -3)), uniformizer(p)
+    product = CycloIdeal.principal(a) * CycloIdeal.principal(lam)
+    assert product.gens == (a * lam,)
+    assert CycloIdeal._kernel_at_root(p, 155, 16, (a * lam,)) == product
+    with pytest.raises(AssertionError, match="does not vanish"):
+        CycloIdeal._kernel_at_root(p, 155, 16, (a * lam, a))
+    # a factor that carries a wrong generator makes the CRT route refuse
+    wrong = dataclasses.replace(CycloIdeal.principal(a), gens=(a + uniformizer(p),))
+    with pytest.raises(AssertionError, match="does not vanish"):
+        wrong * CycloIdeal.principal(lam)
 
 
 def test_characteristic_data_p3():

@@ -593,3 +593,23 @@ def test_cli_commands_take_only_the_options_they_read(monkeypatch, capsys, tmp_p
     assert captured.out == ""
     assert not seen
     assert not list((tmp_path / "out").iterdir())
+
+
+def _ideal_status(p):
+    records = cmd_identities(RunConfig("identities", p=p)).records
+    return next(r.status for r in records if r.name == "ideal-arithmetic")
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_ideal_record_fails_on_wrong_stored_generators(monkeypatch, p):
+    # a product that keeps only its first factor's generators still has the
+    # right HNF, but the next product taken from it does not: (lambda)^(p-1)
+    # comes out as a smaller power of (lambda), not (p)
+    assert _ideal_status(p) == "pass"
+    product = harness.CycloIdeal.__mul__
+
+    def first_factor_gens(self, other):
+        return dataclasses.replace(product(self, other), gens=self.gens)
+
+    monkeypatch.setattr(harness.CycloIdeal, "__mul__", first_factor_gens)
+    assert _ideal_status(p) == "fail"

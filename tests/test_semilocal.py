@@ -17,6 +17,7 @@ from cyclonorm.cyclotomic import (
     orbit_product,
     zeta_shift,
 )
+from cyclonorm import semilocal
 from cyclonorm.group_ring import is_prime
 from cyclonorm.semilocal import (
     SemilocalElement,
@@ -44,6 +45,19 @@ def test_factor_counts_examples():
         factor_phi(5, 5)
     with pytest.raises(ValueError):
         factor_phi(10, 5)
+
+
+def test_factor_phi_checks_each_degree(monkeypatch):
+    # Phi_13 over F_3: four cubic factors, Psi_1 and its transports c = 2, 4, 7.
+    # Transports patched to Psi_2 Psi_4, then 1, then Psi_7 keep the product
+    # Phi_13 and the count four; only the degree check catches them
+    true = factor_phi(3, 13)
+    by_c = dict(zip(true.transports, true.factors))
+    wrong = iter([_poly_mul(by_c[2], by_c[4], 3), [1], list(by_c[7])])
+    monkeypatch.setattr(semilocal, "_one_factor", lambda *args: list(by_c[1]))
+    monkeypatch.setattr(semilocal, "_poly_gcd", lambda *args: next(wrong))
+    with pytest.raises(ArithmeticError, match="degree 3"):
+        factor_phi(3, 13)
 
 
 def test_factor_counts_random_pairs():
