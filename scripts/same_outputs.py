@@ -17,8 +17,11 @@ pipeline at (29, 2, 59), where all 28 twists are searched in the
 sqrt(y) box before the box-lemma fallback (0.3-0.9 s per tree), and the
 pipeline at (13, 2, 53), where Phi_13 splits into twelve linear factors
 over F_53, so `factor_phi` lists them directly and `root_slots` moves one
-lifted idempotent onto the other eleven slots (about 0.1 s per tree).  The
-further commands take about 3 s per tree in all (2-vCPU host, Python 3.11).
+lifted idempotent onto the other eleven slots (about 0.1 s per tree), and
+the pipeline at (13, 3, 35), whose perturbation-pass record fails (a basis
+twist leaves a digit of size y), so the bytes of a failing record are
+compared too (about 0.2 s per tree).  The further commands take about 3 s
+per tree in all (2-vCPU host, Python 3.11).
 
 Both trees run in the same work directory, because a report records its
 `--out` path.  Each op is summed up by the SHA-256 of its output files,
@@ -58,6 +61,7 @@ EXTRA_COMMANDS = [
     ["pipeline", "--p", "31", "--x", "2", "--y", "67"],
     ["pipeline", "--p", "29", "--x", "2", "--y", "59"],
     ["pipeline", "--p", "13", "--x", "2", "--y", "53"],
+    ["pipeline", "--p", "13", "--x", "3", "--y", "35"],
 ]
 
 

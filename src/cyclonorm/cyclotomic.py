@@ -255,54 +255,16 @@ def trace_coordinate_residues(x: CycloInt) -> Tuple[Tuple[int, ...], Tuple[int, 
     return tuple(exact), tuple(shifted)
 
 
-def trace_pairing(x: CycloInt, y: CycloInt) -> int:
-    """Hermitian pairing Tr(x * conj(y))."""
-    return (x * y.conj()).trace()
+def trace_form(e: CycloInt) -> List[int]:
+    """The row of w -> Tr(w e) on kappa(w): Tr(w e) = sum_c (p e_{p-c} - sum_i e_i) w_c."""
+    p, coords = e.p, e.coords
+    total = sum(coords)
+    return [p * coords[(p - c) - 1] - total for c in range(1, p)]
 
 
 def trace_product_coordinate_identity(x: CycloInt, y: CycloInt) -> bool:
-    """Tr(x y) = p * sum_j x_j y_{p-j} - (sum x_i)(sum y_j), exactly."""
-    p = x.p
-    lhs = (x * y).trace()
-    xs, ys = kappa(x), kappa(y)
-    rhs = p * sum(xs[j - 1] * ys[p - j - 1] for j in range(1, p)) - sum(xs) * sum(ys)
-    return lhs == rhs
-
-
-@dataclass(frozen=True)
-class NormChain:
-    """Quantities from the norm-comparison chain on trace-zero elements.
-
-    pairing = Tr(x conj(x)) = p * sum x_c^2; the chain (squared throughout)
-    is  p^2 |kappa|_sup^2  <=  p * pairing  <=  p^2 (p-1) |kappa|_sup^2.
-    """
-
-    sup: int
-    pairing: int
-    left_ok: bool
-    right_ok: bool
-
-    @property
-    def holds(self) -> bool:
-        return self.left_ok and self.right_ok
-
-
-def norms_compare(x: CycloInt) -> NormChain:
-    if x.trace() != 0:
-        raise ValueError("norm chain applies to trace-zero elements")
-    p = x.p
-    coords = kappa(x)
-    sup = max((abs(c) for c in coords), default=0)
-    pairing = trace_pairing(x, x)
-    sq_sum = sum(c * c for c in coords)
-    if pairing != p * sq_sum:
-        raise AssertionError("pairing identity failed on trace-zero element")
-    return NormChain(
-        sup=sup,
-        pairing=pairing,
-        left_ok=sup * sup <= sq_sum,
-        right_ok=sq_sum <= (p - 1) * sup * sup,
-    )
+    """Tr(x y) equals the trace form of y applied to kappa(x), exactly."""
+    return (x * y).trace() == sum(a * b for a, b in zip(trace_form(y), kappa(x)))
 
 
 # -- lambda-adic expansions -------------------------------------------------------

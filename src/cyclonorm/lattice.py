@@ -14,7 +14,7 @@ from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .cyclotomic import CycloInt, kappa_inv
+from .cyclotomic import CycloInt, kappa_inv, trace_form
 from .semilocal import balanced_digit, sl_embed
 from .series import DoubleTable, reassemble
 
@@ -79,9 +79,6 @@ class ModifiedTable:
     @property
     def p(self) -> int:
         return self.source.p
-
-    def rank_certificate(self) -> bool:
-        return self.ranks == list(range(1, len(self.ranks) + 1))
 
     def sup_certificate(self) -> Tuple[int, bool]:
         worst = 0
@@ -379,20 +376,14 @@ def inhomogeneous_select(mtable: ModifiedTable, level: Optional[int] = None) -> 
         if pair not in mtable.entries:
             raise ValueError(f"modified table lacks pair {pair}")
 
-    def trace_row(e: CycloInt) -> List[int]:
-        # Tr(w e) = sum_j (p e_{p-j} - sum_i e_i) w_j, a linear form in kappa(w)
-        coords = e.coords
-        total = sum(coords)
-        return [p * coords[(p - c) - 1] - total for c in range(1, p)]
-
-    base_rows = [trace_row(mtable.entries[pair]) for pair in hom_pairs]
+    base_rows = [trace_form(mtable.entries[pair]) for pair in hom_pairs]
     if use_ones:
         base_rows.append([1] * (p - 1))
 
     box_radius = linalg.iroot(y, 2)
     pivot = mtable.entries[pivot_pair]
-    pivot_row = trace_row(pivot)
-    twist_rows = [[a + b for a, b in zip(pivot_row, trace_row(CycloInt.zeta_power(p, k)))]
+    pivot_row = trace_form(pivot)
+    twist_rows = [[a + b for a, b in zip(pivot_row, trace_form(CycloInt.zeta_power(p, k)))]
                   for k in range(1, p)]      # the pivot row twisted by zeta^k, k = 1..p-1
     shared_kernel = linalg.integer_kernel(base_rows, p - 1)
     kernels: Dict[int, List[List[int]]] = {}   # twist k -> kernel of its rows

@@ -47,13 +47,7 @@ from .cyclotomic import (
     max_conjugate_abs,
 )
 from .group_ring import GroupRingElement, weights
-from .semilocal import (
-    SemilocalElement,
-    YDigits,
-    in_balanced_set,
-    sl_combination,
-    y_digits,
-)
+from .semilocal import SemilocalElement, sl_combination, y_digits
 
 
 def factorial_valuation(m: int, q: int) -> int:
@@ -416,25 +410,20 @@ class DoubleTable:
         return self.entries[(n, h)]
 
 
-def _digit_rows(table: SeriesTable, rho: SemilocalElement, x: int, y: int,
-                depth: int) -> List[SemilocalElement]:
-    """Row n = rho * a'_n * x^{-n} mod y^{depth+1}, for n = 0..depth."""
-    modulus = y ** (depth + 1)
-    rho_m = rho.reduce_to(modulus)
-    inv_x = pow(x % modulus, -1, modulus)
-    return [(rho_m * SemilocalElement(table.p, modulus, num.coords)).scale(pow(inv_x, n, modulus))
-            for n, num in enumerate(table.numerators[:depth + 1])]
-
-
 def double_table(table: SeriesTable, rho: SemilocalElement, x: int, y: int,
                  depth: int) -> DoubleTable:
-    """Digit table b_{n,h} for all pairs with n + h <= depth."""
+    """Digit table b_{n,h} for all pairs with n + h <= depth: the balanced
+    y-digits of row n = rho * a'_n * x^{-n} mod y^{depth+1}, n = 0..depth."""
     if rho.modulus % y ** (depth + 1) != 0:
         raise ValueError("root of unity carries insufficient precision")
     if table.order < depth:
         raise ValueError("series table too short for the requested depth")
+    modulus = y ** (depth + 1)
+    rho_m = rho.reduce_to(modulus)
+    inv_x = pow(x % modulus, -1, modulus)
     entries: Dict[Tuple[int, int], CycloInt] = {}
-    for n, row in enumerate(_digit_rows(table, rho, x, y, depth)):
+    for n, num in enumerate(table.numerators[:depth + 1]):
+        row = (rho_m * SemilocalElement(table.p, modulus, num.coords)).scale(pow(inv_x, n, modulus))
         for h, digit in enumerate(y_digits(row, depth + 1 - n, y).digits):
             entries[(n, h)] = digit
     return DoubleTable(table.p, table.q, x, y, depth, rho, entries)
@@ -467,21 +456,6 @@ def reassembly_check(dtable: DoubleTable, table: SeriesTable, cutoff: int) -> bo
     rho_k = dtable.rho.reduce_to(dtable.y ** cutoff)
     lhs = reassemble(dtable, dtable.entries, {}, cutoff)
     return lhs == rho_k * target
-
-
-def digit_rows_check(dtable: DoubleTable, table: SeriesTable) -> bool:
-    """Row definition: digits of row n reassemble rho * a'_n * x^{-n}."""
-    m = dtable.y ** (dtable.depth + 1)
-    rows = _digit_rows(table, dtable.rho, dtable.x, dtable.y, dtable.depth)
-    for n, row in enumerate(rows):
-        k = dtable.depth + 1 - n
-        digits = [dtable.entries[(n, h)] for h in range(k)]
-        diff = row - YDigits(dtable.p, dtable.y, tuple(digits)).assemble(m)
-        if any(c % dtable.y ** k for c in diff.poly):
-            return False
-        if not all(in_balanced_set(d, dtable.y) for d in digits):
-            return False
-    return True
 
 
 # -- congruence sums for the ramified case ---------------------------------------------

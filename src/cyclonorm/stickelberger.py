@@ -159,7 +159,6 @@ class BernoulliProfile:
     minus_part_rank: int             # rank over F_p of (1 - conj) * Fueter span
     lepisto_ok: bool                 # i_p < (p-1)/4
     rank_matches: bool               # minus_part_rank == r_p
-    rank_lower_bound_ok: bool        # r_p >= (p-1)/4
 
 
 def minus_part_rank(p: int) -> int:
@@ -210,7 +209,6 @@ def bernoulli_profile(p: int) -> BernoulliProfile:
         minus_part_rank=rank,
         lepisto_ok=4 * i_p < p - 1,
         rank_matches=rank == r_p,
-        rank_lower_bound_ok=4 * r_p >= p - 1,
     )
 
 

@@ -22,17 +22,59 @@ from cyclonorm.cyclotomic import (
     kappa_inv,
     lambda_expand,
     lambda_valuation,
-    norms_compare,
     orbit_product,
     residue_mod_uniformizer,
     trace_coordinate_residues,
-    trace_pairing,
+    trace_form,
     trace_product_coordinate_identity,
     uniformizer,
 )
 from cyclonorm.group_ring import GroupRingElement
 
 PRIMES = [5, 7, 11, 13]
+
+
+def trace_pairing(x, y):
+    """Hermitian pairing Tr(x * conj(y))."""
+    return (x * y.conj()).trace()
+
+
+@dataclasses.dataclass(frozen=True)
+class NormChain:
+    """Quantities from the norm-comparison chain on trace-zero elements.
+
+    pairing = Tr(x conj(x)) = p * sum x_c^2; the chain (squared throughout)
+    is  p^2 |kappa|_sup^2  <=  p * pairing  <=  p^2 (p-1) |kappa|_sup^2.
+    """
+
+    sup: int
+    pairing: int
+    left_ok: bool
+    right_ok: bool
+
+    @property
+    def holds(self) -> bool:
+        return self.left_ok and self.right_ok
+
+
+def norms_compare(x):
+    """Reference for the `norm-chain` record, with the chain inequalities
+    that `identities` no longer evaluates (they hold for any integers)."""
+    if x.trace() != 0:
+        raise ValueError("norm chain applies to trace-zero elements")
+    p = x.p
+    coords = kappa(x)
+    sup = max((abs(c) for c in coords), default=0)
+    pairing = trace_pairing(x, x)
+    sq_sum = sum(c * c for c in coords)
+    if pairing != p * sq_sum:
+        raise AssertionError("pairing identity failed on trace-zero element")
+    return NormChain(
+        sup=sup,
+        pairing=pairing,
+        left_ok=sup * sup <= sq_sum,
+        right_ok=sq_sum <= (p - 1) * sup * sup,
+    )
 
 
 def cyclo(p, lo=-9, hi=9):
@@ -231,6 +273,33 @@ def test_norm_chain_random(p):
             continue
         assert norms_compare(x).holds
         count += 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(PRIMES).flatmap(
+    lambda p: st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=p - 1, max_size=p - 1)))
+def test_norm_chain_inequalities_hold_for_any_integers(coords):
+    # the chain sup^2 <= sum x_c^2 <= (p - 1) sup^2 asks nothing of x: one
+    # square is the largest, and each of the p - 1 squares is at most it
+    sup = max(abs(c) for c in coords)
+    sq_sum = sum(c * c for c in coords)
+    assert sup * sup <= sq_sum <= len(coords) * sup * sup
+
+
+@pytest.mark.parametrize("p", PRIMES + [23])
+def test_trace_form_is_the_product_trace(p):
+    # the row of w -> Tr(w e) against the product trace, and against the
+    # coordinate formula p sum_j x_j y_{p-j} - (sum x)(sum y)
+    rng = random.Random(p * 11)
+    for _ in range(40):
+        x = CycloInt(p, tuple(rng.randrange(-50, 51) for _ in range(p - 1)))
+        y = CycloInt(p, tuple(rng.randrange(-50, 51) for _ in range(p - 1)))
+        row = trace_form(y)
+        assert sum(a * b for a, b in zip(row, x.coords)) == (x * y).trace()
+        xs, ys = x.coords, y.coords
+        assert (x * y).trace() == (p * sum(xs[j - 1] * ys[p - j - 1] for j in range(1, p))
+                                   - sum(xs) * sum(ys))
+    assert trace_form(CycloInt.from_rational(p, 1)) == [-1] * (p - 1)   # Tr(zeta^c) = -1
 
 
 def test_embedding_abs_certified():

@@ -9,6 +9,7 @@ from cyclonorm import cli, harness
 from cyclonorm.harness import RunConfig, cmd_identities, cmd_pipeline, cmd_search, write_report
 from cyclonorm.cli import main
 from cyclonorm.group_ring import GroupRingElement, idempotent_mod_p
+from test_series import _moved
 
 
 def test_config_validation():
@@ -613,3 +614,60 @@ def test_ideal_record_fails_on_wrong_stored_generators(monkeypatch, p):
 
     monkeypatch.setattr(harness.CycloIdeal, "__mul__", first_factor_gens)
     assert _ideal_status(p) == "fail"
+
+
+def _exit_and_status(capsys, argv, name):
+    """Exit code of the CLI on argv, and the status of one of its records."""
+    code = main(argv)
+    out = capsys.readouterr().out
+    line = next(line for line in out.splitlines() if line.startswith(name + "\t"))
+    return code, line.split("\t")[1]
+
+
+def test_norm_chain_record_fails_on_a_wrong_pairing(monkeypatch, capsys):
+    # with conj the identity, Tr(x conj x) = p sum_j x_j x_{p-j}, not
+    # p sum x_c^2: the pairing identity is the record's predicate
+    argv = ["identities", "--p", "5"]
+    assert _exit_and_status(capsys, argv, "norm-chain") == (0, "pass")
+    monkeypatch.setattr(harness.CycloInt, "conj", lambda self: self)
+    assert _exit_and_status(capsys, argv, "norm-chain") == (1, "fail")
+
+
+def test_fueter_record_fails_on_a_weight_two_element(monkeypatch, capsys):
+    real = harness.fueter
+    monkeypatch.setattr(harness, "fueter", lambda p, n: real(p, n).scale(2))
+    assert _exit_and_status(capsys, ["identities", "--p", "7"],
+                            "fueter-difference") == (1, "fail")
+
+
+def test_irregularity_record_fails_without_lepisto(monkeypatch, capsys):
+    real = harness.bernoulli_profile
+    monkeypatch.setattr(harness, "bernoulli_profile",
+                        lambda p: dataclasses.replace(real(p), lepisto_ok=False))
+    assert _exit_and_status(capsys, ["identities", "--p", "7"],
+                            "irregularity-profile") == (1, "fail")
+
+
+def test_digit_table_record_fails_on_a_moved_digit(monkeypatch, capsys):
+    # digit (1, 0) sits at order y^1, below the cutoff depth - 1
+    real = harness.series.double_table
+
+    def tampered(table, rho, x, y, depth):
+        dt = real(table, rho, x, y, depth)
+        return dataclasses.replace(dt, entries={**dt.entries,
+                                                (1, 0): _moved(dt.entry(1, 0), 0, y)})
+
+    argv = ["pipeline", "--p", "5", "--x", "3", "--y", "22"]
+    assert _exit_and_status(capsys, argv, "digit-table")[1] == "pass"
+    monkeypatch.setattr(harness.series, "double_table", tampered)
+    assert _exit_and_status(capsys, argv, "digit-table") == (1, "fail")
+
+
+def test_perturbation_record_fails_on_the_sup_bound(capsys):
+    # at (13, 3, 35) a basis twist leaves a coordinate of size y: the ranks
+    # are still 1..12, and the sup bound fails
+    argv = ["pipeline", "--p", "13", "--x", "3", "--y", "35"]
+    assert _exit_and_status(capsys, argv, "perturbation-pass") == (1, "fail")
+    rec = _record(cmd_pipeline(RunConfig("pipeline", p=13, x=3, y=35)), "perturbation-pass")
+    assert rec.status == "fail"
+    assert rec.outputs["worst_sup"] == 35 and rec.outputs["ranks"] == list(range(1, 13))

@@ -36,6 +36,7 @@ from cyclonorm.stickelberger import (
     construct_weight2_annihilator,
     fueter,
 )
+from test_series import PIPELINE_GRID, pipeline_tables
 
 
 def order_rank(pair):
@@ -303,10 +304,24 @@ def synthetic_table(p, y, x, depth, seed, plant=True):
     return DoubleTable(p, p, x, y, depth, rho, entries)
 
 
+def rank_certificate(mt):
+    """The ranks the pass recorded are 1, 2, ..., one per processed pair."""
+    return mt.ranks == list(range(1, len(mt.ranks) + 1))
+
+
+@pytest.mark.parametrize("p,x,y", PIPELINE_GRID)
+def test_perturbation_ranks_hold_by_construction(p, x, y):
+    # each step records the rank after an add that enlarged the span, or
+    # raises RankStuck, so the ranks are 1..p-1 without being checked
+    _, dt = pipeline_tables(p, x, y)
+    mt = perturb_for_independence(dt)
+    assert rank_certificate(mt) and len(mt.ranks) == p - 1
+
+
 def test_perturbation_on_genuine_table():
     tab, dt = genuine_table()
     mt = perturb_for_independence(dt)
-    assert mt.rank_certificate()
+    assert rank_certificate(mt)
     assert sum_preservation_check(mt, 5)
     worst, ok = mt.sup_certificate()
     assert ok
@@ -367,7 +382,7 @@ def test_perturbation_guards():
     dt = synthetic_table(p, 106, x, 5, 0)
     small = DoubleTable(p, p, x, y, 5, dt.rho, dt.entries)
     mt = perturb_for_independence(small)         # y <= 2p runs all the same
-    assert isinstance(mt, lattice.ModifiedTable) and mt.rank_certificate()
+    assert isinstance(mt, lattice.ModifiedTable) and rank_certificate(mt)
     shallow = DoubleTable(p, p, x, 106, 1, dt.rho,
                           {k: v for k, v in dt.entries.items() if sum(k) <= 1})
     with pytest.raises(ValueError):

@@ -9,12 +9,12 @@ from hypothesis import example, given, settings, strategies as st
 from cyclonorm import series as series_module
 from cyclonorm.cyclotomic import CycloInt, basis_product, inverse_uniformizer_numerator, zeta_shift
 from cyclonorm.group_ring import GroupRingElement
-from cyclonorm.semilocal import synthetic_root_of_unity
+from cyclonorm.lattice import guard_depth
+from cyclonorm.semilocal import SemilocalElement, YDigits, in_balanced_set, synthetic_root_of_unity
 from cyclonorm.series import (
     binom_coeffs,
     coeff_bound_check,
     denominator_exponent,
-    digit_rows_check,
     double_table,
     equivariance_check,
     factorial_valuation,
@@ -528,6 +528,49 @@ def test_wieferich_sum_value_p5():
     # support {3, 4}: the inverse exponents are 2 and 4
     expected = (num.galois(2) + num.galois(4)).scale(2)
     assert ws.total == expected
+
+
+def digit_rows_check(dtable, table):
+    """Reference for the row check that `pipeline` does not run: the digits
+    of row n are balanced and reassemble rho * a'_n * x^{-n} mod y^(depth+1-n)."""
+    p, y, depth = dtable.p, dtable.y, dtable.depth
+    m = y ** (depth + 1)
+    rho = dtable.rho.reduce_to(m)
+    inv_x = pow(dtable.x, -1, m)
+    for n, num in enumerate(table.numerators[:depth + 1]):
+        row = (rho * SemilocalElement(p, m, num.coords)).scale(pow(inv_x, n, m))
+        k = depth + 1 - n
+        digits = [dtable.entries[(n, h)] for h in range(k)]
+        diff = row - YDigits(p, y, tuple(digits)).assemble(m)
+        if any(c % y ** k for c in diff.poly):
+            return False
+        if not all(in_balanced_set(d, y) for d in digits):
+            return False
+    return True
+
+
+# (p, x, y) with y prime to p and not a power of one prime inert in Q(zeta_p)
+PIPELINE_GRID = [(5, 3, 11), (5, 2, 31), (7, 3, 26), (7, 2, 29), (11, 3, 35), (11, 2, 23),
+                 (13, 2, 53), (13, 3, 35), (17, 2, 19), (19, 2, 37), (23, 3, 47)]
+
+
+def pipeline_tables(p, x, y):
+    """The series table and digit table that `pipeline` builds at (p, x, y)
+    with its default level and precision."""
+    ann = construct_weight2_annihilator(p)
+    theta = ann.element if ann.is_unfixed else fueter(p, 1).scale(2)
+    depth = max(6, guard_depth(p))
+    tab = binom_coeffs(theta, depth + 2, full=True)
+    rho = synthetic_root_of_unity(p, y, depth + 1)
+    return tab, double_table(tab, rho, x, y, depth)
+
+
+@pytest.mark.parametrize("p,x,y", PIPELINE_GRID)
+def test_digit_rows_hold_by_construction(p, x, y):
+    # balanced_digit lands in (-y/2, y/2] and each digit step divides
+    # exactly, so every row check holds without being run
+    tab, dt = pipeline_tables(p, x, y)
+    assert digit_rows_check(dt, tab)
 
 
 def test_double_table_rows_and_reassembly():

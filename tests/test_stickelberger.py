@@ -127,7 +127,16 @@ def test_profile_bounds_and_rank(p):
     assert prof.lepisto_ok                      # 4 i_p < p - 1
     assert prof.surviving_count == (p - 1) // 2 - prof.irregularity_index
     assert prof.rank_matches
-    assert prof.rank_lower_bound_ok             # 4 r_p >= p - 1
+    assert 4 * prof.surviving_count >= p - 1   # r_p >= (p - 1)/4
+
+
+def test_rank_lower_bound_follows_from_lepisto():
+    # r_p = (p - 1)/2 - i_p, so 4 i_p < p - 1 gives 4 r_p > p - 1: the
+    # irregularity-profile record reads Lepisto's bound alone
+    for p in sympy.primerange(5, 102):
+        prof = bernoulli_profile(p)
+        assert prof.surviving_count == (p - 1) // 2 - prof.irregularity_index
+        assert prof.lepisto_ok and 4 * prof.surviving_count >= p - 1
 
 
 def rank_mod_p_reference(rows, p):
